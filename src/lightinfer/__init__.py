@@ -2,13 +2,7 @@
 staged image-token merging during prefill and coverage-threshold KV cache
 compression for decode."""
 
-from .attention import (
-    AttentionMode,
-    AttentionOutput,
-    AttentionWeights,
-    cumulative_scores_from_full,
-    multi_head_attention,
-)
+from .attention import AttentionOutput, AttentionWeights, multi_head_attention
 from .kvcache import (
     CompressionConfig,
     KVCache,

@@ -1,11 +1,14 @@
-"""Multi-head causal self-attention with two score-reporting modes.
+"""Multi-head causal self-attention that reports per-key cumulative scores.
 
-FULL materializes the per-head score matrices. CUMULATIVE_ONLY computes
-attention blockwise, never holding an NxN matrix, and reports only the
-per-key cumulative score vector -- the signal an efficient fused kernel
-can return. Both modes produce the same context and the same cumulative
-scores (up to float reordering), which is what lets every downstream
-token-reduction decision run from the cumulative vector alone.
+There is one path. Queries are processed in blocks of `_BLOCK` rows; the
+block [s, e) computes logits only against the keys it can see, [:e], and
+masks only the diagonal tile. Scaling, max-subtraction, exp and row
+normalization run in place in that block's one logits buffer, so no NxN
+matrix is ever held. Besides the context, each call returns the per-key
+cumulative score vector -- the signal an efficient fused kernel can return,
+and all that every downstream token-reduction decision needs. The
+full-matrix reference that materializes every score lives in
+`oracle.full_attention`; the two agree up to float reordering.
 
 Token importance, engine-wide, is the head-averaged causally-masked
 column sum of attention probabilities (raw, not renormalized per layer).
@@ -14,19 +17,14 @@ column sum of attention probabilities (raw, not renormalized per layer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .numerics import Matrix
 
-_BLOCK = 256
-
-
-class AttentionMode(Enum):
-    FULL = "full"
-    CUMULATIVE_ONLY = "cumulative_only"
+_BLOCK = 128
+# Entry (i, j) is True when key j comes after query i within one block.
+_FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class AttentionOutput:
     avg_cum_scores: np.ndarray            # (N,) head average
     keys: np.ndarray                      # (H, N, hd)
     values: np.ndarray                    # (H, N, hd)
-    full_scores: Optional[np.ndarray]     # (H, N, N) in FULL mode, else None
 
 
 def _project_heads(hidden: Matrix, w: Matrix, n_heads: int) -> np.ndarray:
@@ -72,11 +69,7 @@ def _project_heads(hidden: Matrix, w: Matrix, n_heads: int) -> np.ndarray:
     return (hidden @ w).reshape(n, n_heads, c // n_heads).transpose(1, 0, 2)
 
 
-def multi_head_attention(
-    hidden: Matrix,
-    weights: AttentionWeights,
-    mode: AttentionMode = AttentionMode.CUMULATIVE_ONLY,
-) -> AttentionOutput:
+def multi_head_attention(hidden: Matrix, weights: AttentionWeights) -> AttentionOutput:
     hidden = np.asarray(hidden, dtype=np.float32)
     if hidden.ndim != 2 or hidden.shape[0] < 1:
         raise ValueError(f"hidden must be a nonempty 2-D matrix, got shape {hidden.shape}")
@@ -93,60 +86,29 @@ def multi_head_attention(
     v = _project_heads(hidden, weights.wv, h)
 
     kt = np.ascontiguousarray(k.transpose(0, 2, 1))
-    if mode is AttentionMode.FULL:
-        logits = (q @ kt) * scale
-        mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-        logits = np.where(mask[None, :, :], np.float32(-np.inf), logits)
-        logits -= logits.max(axis=2, keepdims=True)
-        e = np.exp(logits)
-        scores = e / e.sum(axis=2, keepdims=True)
-        ctx_heads = scores @ v
-        cum = scores.sum(axis=1)
-        full = scores
-    else:
-        ctx_heads = np.empty((h, n, hd), dtype=np.float32)
-        cum = np.zeros((h, n), dtype=np.float32)
-        cols = np.arange(n)
-        for s in range(0, n, _BLOCK):
-            e_ = min(s + _BLOCK, n)
-            logits = (q[:, s:e_] @ kt) * scale
-            mask = cols[None, :] > np.arange(s, e_)[:, None]
-            logits = np.where(mask[None, :, :], np.float32(-np.inf), logits)
-            logits -= logits.max(axis=2, keepdims=True)
-            eb = np.exp(logits)
-            sb = eb / eb.sum(axis=2, keepdims=True)
-            cum += sb.sum(axis=1)
-            ctx_heads[:, s:e_] = sb @ v
-        full = None
+    ctx_heads = np.empty((h, n, hd), dtype=np.float32)
+    cum = np.zeros((h, n), dtype=np.float32)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        # Queries [s, e) see keys [:e]; only the diagonal tile [s, e) x [s, e)
+        # holds future keys. Every step below runs in place in one buffer.
+        p = q[:, s:e] @ kt[:, :, :e]
+        p *= scale
+        np.copyto(p[:, :, s:], np.float32(-np.inf), where=_FUTURE[:e - s, :e - s])
+        p -= p.max(axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        cum[:, :e] += p.sum(axis=1)
+        ctx_heads[:, s:e] = p @ v[:, :e]
 
     context = ctx_heads.transpose(1, 0, 2).reshape(n, h * hd) @ weights.wo
-    avg = cum.mean(axis=0)
     return AttentionOutput(
         context=context,
         cum_scores=cum,
-        avg_cum_scores=avg,
+        avg_cum_scores=cum.mean(axis=0),
         keys=k,
         values=v,
-        full_scores=full,
     )
-
-
-def cumulative_scores_from_full(full_scores: np.ndarray, tol: float = 1e-4) -> np.ndarray:
-    """Per-key column sums over all query rows; one (N,) vector per head.
-
-    This is the single definition of token-importance input used
-    engine-wide. Rows must be stochastic (sum to 1 within tol).
-    """
-    s = np.asarray(full_scores, dtype=np.float32)
-    if s.ndim == 2:
-        s = s[None]
-    if s.ndim != 3 or s.shape[1] != s.shape[2]:
-        raise ValueError(f"expected per-head square score matrices, got shape {s.shape}")
-    row_sums = s.sum(axis=2)
-    if np.abs(row_sums - 1.0).max() > tol:
-        worst = float(np.abs(row_sums - 1.0).max())
-        raise ValueError(f"score rows are not stochastic (max |row sum - 1| = {worst:.3g})")
-    return s.sum(axis=1)
 
 
 def attend_single_query(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:

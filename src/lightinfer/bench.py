@@ -8,6 +8,7 @@ carry a config-hash comment line so identical configs are comparable.
 from __future__ import annotations
 
 import csv
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import EngineConfig
+from .config import ConfigError, EngineConfig
 from .merge import Segment
 from .model import PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
 from .oracle import attention_mass_curve
@@ -90,9 +91,11 @@ def _timed_runs(model, seq, pipeline: PipelineConfig, max_new: int, reps: int, w
 def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
     bench = cfg.bench
     if "vanilla" not in bench.variants:
-        raise ValueError("bench variant set must include vanilla (speedup baseline)")
+        raise ConfigError("bad value for [bench] variants: bench needs vanilla "
+                          "(speedup baseline)")
     if bench.repetitions < 5:
-        raise ValueError(f"bench needs >= 5 repetitions, got {bench.repetitions}")
+        raise ConfigError(f"bad value for [bench] repetitions: bench needs >= 5, "
+                          f"got {bench.repetitions}")
 
     model = init_model(cfg.model)
     seq = _build_seq(cfg)
@@ -153,10 +156,10 @@ def _sweep_cell(cfg: EngineConfig, keep_ratio: float, beta: float,
 
 
 def do_sweep(cfg: EngineConfig, out: Optional[str] = None, jobs: int = 1) -> list[list]:
+    """Run the keep_ratio x beta grid with `jobs` worker processes, capped at
+    the CPU count."""
     bench = cfg.bench
-    if not bench.keep_ratios or not bench.betas:
-        raise ValueError("sweep needs a nonempty keep_ratios x betas grid")
-
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     model = init_model(cfg.model)
     disabled = cfg.pipeline.build(merging=False, compression=False)
     vanilla_ids = []
@@ -178,7 +181,7 @@ def do_sweep(cfg: EngineConfig, out: Optional[str] = None, jobs: int = 1) -> lis
     for row in rows:
         print(" ".join(str(x) for x in row))
     if out:
-        _write_csv(out, header, rows, cfg.hash(), comment=f"seeds={bench.seeds}")
+        _write_csv(out, header, rows, cfg.hash(), comment=f"seeds={bench.seeds} jobs={jobs}")
     return rows
 
 

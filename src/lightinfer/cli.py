@@ -1,6 +1,8 @@
 """Command-line front end: run | verify | bench | sweep | analyze.
 
-Exit codes: 0 success, 2 config error, 3 verification failure.
+Exit codes: 0 success, 2 config error (or unknown verify check), 3
+verification failure. Any other exception is an engine fault and is raised,
+not reported as a config error.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ import sys
 from . import bench as bench_mod
 from .config import ConfigError, load_config
 from .kvcache import dump_snapshot
-from .verify import run_checks
+from .verify import run_checks, select_checks
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="path to a key=value config file")
     p.add_argument("--out", default=None, help="write results as CSV to this path")
     p.add_argument("--seed", type=int, default=None, help="override [input] seed")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers (sweep only)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="parallel workers (sweep only; default 1, capped at the CPU count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,10 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     try:
-        results = run_checks(include_slow=args.full, names=args.check)
+        table = select_checks(include_slow=args.full, names=args.check)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    results = run_checks(table)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -73,8 +77,7 @@ def main(argv=None) -> int:
         elif args.command == "bench":
             bench_mod.do_bench(cfg, out=args.out)
         elif args.command == "sweep":
-            import os
-            bench_mod.do_sweep(cfg, out=args.out, jobs=args.jobs or os.cpu_count() or 1)
+            bench_mod.do_sweep(cfg, out=args.out, jobs=args.jobs or 1)
         elif args.command == "analyze":
             bench_mod.do_analyze(cfg, out=args.out)
         elif args.command == "dump-cache":
@@ -86,9 +89,6 @@ def main(argv=None) -> int:
             dump_snapshot(pre.cache, out)
             print(f"wrote {out}")
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -185,5 +185,36 @@ def load_config(path, seed_override: Optional[int] = None) -> EngineConfig:
         if v not in KNOWN_VARIANTS:
             raise ConfigError(f"bad value for [bench] variants: unknown variant {v!r}")
 
-    return EngineConfig(model=built["model"], input=built["input"],
-                        pipeline=built["pipeline"], bench=built["bench"])
+    cfg = EngineConfig(model=built["model"], input=built["input"],
+                       pipeline=built["pipeline"], bench=bench)
+    _check_cross_section(cfg)
+    return cfg
+
+
+def _check_cross_section(cfg: EngineConfig) -> None:
+    """Checks that span sections, so that commands meet only valid settings.
+
+    bench and sweep switch merging and compression on whatever the
+    [pipeline] flags say, so the layer checks do not depend on them.
+    """
+    n_layers = cfg.model.n_layers
+    p = cfg.pipeline
+    if p.merge_layers and max(p.merge_layers) >= n_layers:
+        raise ConfigError(f"bad value for [pipeline] merge_layers: {p.merge_layers} "
+                          f"outside model with n_layers={n_layers}")
+    if p.start_layer >= n_layers:
+        raise ConfigError(f"bad value for [pipeline] start_layer: {p.start_layer} "
+                          f"outside model with n_layers={n_layers}")
+    if not cfg.bench.keep_ratios or not cfg.bench.betas:
+        raise ConfigError("bad value for [bench] keep_ratios/betas: "
+                          "sweep needs a nonempty keep_ratios x betas grid")
+    trials = [("[pipeline]", {})]
+    trials += [("[bench] keep_ratios", {"keep_ratio": kr}) for kr in cfg.bench.keep_ratios]
+    trials += [("[bench] betas", {"beta": b}) for b in cfg.bench.betas]
+    for where, overrides in trials:
+        try:
+            schedule = p.build(**overrides).merge_schedule
+            if cfg.input.n_image > 0:
+                schedule.resolve(cfg.input.n_image)
+        except ValueError as e:
+            raise ConfigError(f"invalid {where} settings: {e}") from e

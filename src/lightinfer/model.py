@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionMode, AttentionWeights, multi_head_attention, attend_single_query
+from .attention import AttentionWeights, multi_head_attention, attend_single_query
 from .kvcache import CompressionConfig, KVCache, compress_all, memory_estimate
 from .merge import (
     MergeSchedule,
@@ -170,13 +170,31 @@ def build_input(n_system: int, n_image: int, n_instruction: int,
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    """tanh-GELU, computed in place: x is overwritten and returned.
+
+    Bit-identical to 0.5*x*(1+tanh(c0*(x+c1*x*x*x))): the same float32
+    operations on the same operands, with one temporary instead of nine.
+    """
     c0 = np.float32(0.7978845608028654)  # sqrt(2/pi)
     c1 = np.float32(0.044715)
-    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c0 * (x + c1 * x * x * x)))
+    t = c1 * x
+    t *= x
+    t *= x
+    t += x
+    t *= c0
+    np.tanh(t, out=t)
+    t += np.float32(1.0)
+    x *= np.float32(0.5)
+    x *= t
+    return x
 
 
 def _mlp(x: Matrix, lw: LayerWeights) -> Matrix:
-    return _gelu(x @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
+    a = x @ lw.w1
+    a += lw.b1
+    out = _gelu(a) @ lw.w2
+    out += lw.b2
+    return out
 
 
 @dataclass
@@ -207,8 +225,7 @@ def _validate_pipeline(model: Model, pipeline: PipelineConfig) -> None:
         )
 
 
-def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
-            mode: AttentionMode = AttentionMode.CUMULATIVE_ONLY) -> PrefillResult:
+def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig) -> PrefillResult:
     if len(seq) < 1:
         raise ValueError("prefill input must be nonempty")
     if seq.dim != model.config.dim:
@@ -233,7 +250,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
 
     for li, lw in enumerate(model.layers):
         x = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
-        att = multi_head_attention(x, lw.attn, mode)
+        att = multi_head_attention(x, lw.attn)
         cache.extend_layer(li, att.keys, att.values, poss, segs)
         layer_scores[li] = att.cum_scores
         hidden = hidden + att.context
@@ -329,15 +346,14 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
 
 
 def generate(model: Model, seq: TokenSequence, pipeline: PipelineConfig, max_new: int,
-             decoding: str = "greedy",
-             mode: AttentionMode = AttentionMode.CUMULATIVE_ONLY) -> tuple[list[int], RunMetrics]:
+             decoding: str = "greedy") -> tuple[list[int], RunMetrics]:
     """Prefill, then max_new greedy decode steps (toy vocab has no stop token)."""
     if max_new < 1:
         raise ValueError(f"max_new must be >= 1, got {max_new}")
     if decoding != "greedy":
         raise ValueError(f"only greedy decoding is supported, got {decoding!r}")
 
-    pre = prefill(model, seq, pipeline, mode)
+    pre = prefill(model, seq, pipeline)
     metrics = pre.metrics
     logits, cache = pre.logits, pre.cache
     for _ in range(max_new):

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionMode, multi_head_attention
+from .attention import AttentionWeights
 from .merge import Segment, TokenSequence, is_image_segment, pyramid_merge_layer
 from .model import Model, PipelineConfig, _mlp
 from .numerics import layer_norm
@@ -51,6 +51,33 @@ def iterative_pairwise_merge(rows: np.ndarray) -> np.ndarray:
     return work[0]
 
 
+def full_attention(hidden: np.ndarray, weights: AttentionWeights
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Causal multi-head attention with every score materialized.
+
+    Returns (context (N, C), per-key cumulative scores (H, N), per-head
+    score matrices (H, N, N)). The engine's blockwise path must match the
+    first two up to float reordering.
+    """
+    hidden = np.asarray(hidden, dtype=np.float32)
+    n, c = hidden.shape
+    h = weights.n_heads
+    hd = c // h
+
+    def heads(w):
+        return (hidden @ w).reshape(n, h, hd).transpose(1, 0, 2)
+
+    q, k, v = heads(weights.wq), heads(weights.wk), heads(weights.wv)
+    logits = (q @ k.transpose(0, 2, 1)) * np.float32(1.0 / np.sqrt(hd))
+    future = np.triu(np.ones((n, n), dtype=bool), k=1)
+    logits = np.where(future[None, :, :], np.float32(-np.inf), logits)
+    logits -= logits.max(axis=2, keepdims=True)
+    e = np.exp(logits)
+    scores = e / e.sum(axis=2, keepdims=True)
+    context = (scores @ v).transpose(1, 0, 2).reshape(n, c) @ weights.wo
+    return context, scores.sum(axis=1), scores
+
+
 def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig) -> np.ndarray:
     """Full forward over the whole sequence, merge decisions replayed.
 
@@ -65,12 +92,12 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
     hidden, segs, poss = seq.embeddings, seq.segments, seq.positions
     for li, lw in enumerate(model.layers):
         x = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
-        att = multi_head_attention(x, lw.attn, AttentionMode.FULL)
-        hidden = hidden + att.context
+        context, _, scores = full_attention(x, lw.attn)
+        hidden = hidden + context
         hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
         if do_merge and li in stage_of:
             prefill_rows = segs != Segment.GENERATED
-            col_sums = att.full_scores[:, prefill_rows, :].sum(axis=1)
+            col_sums = scores[:, prefill_rows, :].sum(axis=1)
             importance = col_sums.mean(axis=0)[is_image_segment(segs)]
             merged = pyramid_merge_layer(
                 TokenSequence(hidden, segs, poss), importance,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .attention import AttentionMode, AttentionWeights, multi_head_attention
+from .attention import _BLOCK, AttentionWeights, multi_head_attention
 from .kvcache import CacheLayer, CompressionConfig, HeadCache, compress_layer, memory_estimate
 from .merge import (
     MergeSchedule,
@@ -37,7 +37,7 @@ from .model import (
     init_model,
     prefill,
 )
-from .oracle import full_recompute_decode, naive_weighted_merge
+from .oracle import full_attention, full_recompute_decode, naive_weighted_merge
 
 
 @dataclass
@@ -334,26 +334,31 @@ def check_drift_tiering(seeds: int = 20, keep_ratios=(0.03, 0.15, 0.35, 1.0),
 
 
 def check_attention_mode_equivalence(n_inputs: int = 50, tol: float = 1e-5) -> CheckResult:
-    """Blockwise cumulative attention reproduces full-matrix context and
-    head-averaged cumulative scores."""
+    """Blockwise cumulative attention reproduces the full-matrix oracle's
+    context and head-averaged cumulative scores.
+
+    Sizes straddle the query-block boundaries (one short of a block, one
+    block, one past it, one past two blocks); the rest are drawn from
+    [1, 3 blocks].
+    """
     rng = np.random.default_rng(23)
+    boundary = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+    drawn = rng.integers(1, 3 * _BLOCK + 1, size=max(0, n_inputs - len(boundary)))
+    sizes = boundary[:n_inputs] + [int(n) for n in drawn]
     worst_ctx = worst_cum = 0.0
-    for _ in range(n_inputs):
-        n = int(rng.integers(1, 129))
+    for n in sizes:
         dim, heads = 64, 4
         hidden = rng.standard_normal((n, dim)).astype(np.float32)
         w = AttentionWeights(heads, *(rng.uniform(-0.2, 0.2, (dim, dim)).astype(np.float32)
                                       for _ in range(4)))
-        a = multi_head_attention(hidden, w, AttentionMode.FULL)
-        b = multi_head_attention(hidden, w, AttentionMode.CUMULATIVE_ONLY)
-        if b.full_scores is not None:
-            return CheckResult("attention_mode_equivalence", False,
-                               "cumulative mode materialized the full score matrix")
-        worst_ctx = max(worst_ctx, float(np.abs(a.context - b.context).max()))
-        worst_cum = max(worst_cum, float(np.abs(a.avg_cum_scores - b.avg_cum_scores).max()))
+        ref_context, ref_cum, _ = full_attention(hidden, w)
+        got = multi_head_attention(hidden, w)
+        worst_ctx = max(worst_ctx, float(np.abs(ref_context - got.context).max()))
+        worst_cum = max(worst_cum, float(np.abs(ref_cum.mean(axis=0) - got.avg_cum_scores).max()))
     ok = worst_ctx <= tol and worst_cum <= tol
     return CheckResult("attention_mode_equivalence", ok,
-                       f"{n_inputs} inputs, max context err {worst_ctx:.2g}, "
+                       f"{len(sizes)} inputs (N from {min(sizes)} to {max(sizes)}, block {_BLOCK}), "
+                       f"max context err {worst_ctx:.2g}, "
                        f"max cumulative-score err {worst_cum:.2g} (tol {tol})")
 
 
@@ -374,15 +379,20 @@ SLOW_CHECKS: dict[str, Callable[[], CheckResult]] = {
 }
 
 
-def run_checks(include_slow: bool = False, names: Optional[list[str]] = None) -> list[CheckResult]:
-    table = dict(FAST_CHECKS)
-    if include_slow:
-        table.update(SLOW_CHECKS)
+def select_checks(include_slow: bool = False,
+                  names: Optional[list[str]] = None) -> dict[str, Callable[[], CheckResult]]:
+    """The named checks, or the fast ones (plus the slow ones if asked);
+    ValueError for an unknown name."""
+    every = {**FAST_CHECKS, **SLOW_CHECKS}
     if names:
-        unknown = [n for n in names if n not in {**FAST_CHECKS, **SLOW_CHECKS}]
+        unknown = [n for n in names if n not in every]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}")
-        table = {n: {**FAST_CHECKS, **SLOW_CHECKS}[n] for n in names}
+        return {n: every[n] for n in names}
+    return every if include_slow else dict(FAST_CHECKS)
+
+
+def run_checks(table: dict[str, Callable[[], CheckResult]]) -> list[CheckResult]:
     results = []
     for name, fn in table.items():
         t0 = time.perf_counter()

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from lightinfer.attention import (
-    AttentionMode,
-    AttentionWeights,
-    attend_single_query,
-    cumulative_scores_from_full,
-    multi_head_attention,
-)
+from lightinfer.attention import _BLOCK, AttentionWeights, attend_single_query, multi_head_attention
+from lightinfer.oracle import full_attention
 
 
 def random_weights(dim=32, heads=4, seed=0, scale=0.2):
@@ -22,7 +17,7 @@ def random_hidden(n, dim=32, seed=0):
 
 
 def test_single_token_cumulative_score_is_one():
-    out = multi_head_attention(random_hidden(1), random_weights(), AttentionMode.FULL)
+    out = multi_head_attention(random_hidden(1), random_weights())
     assert np.allclose(out.cum_scores, 1.0, atol=1e-6)
     assert out.avg_cum_scores.shape == (1,)
 
@@ -36,39 +31,41 @@ def test_cumulative_scores_total_equals_n(n):
 def test_cumulative_mode_matches_full_column_sums():
     hidden = random_hidden(16, seed=7)
     w = random_weights(seed=7)
-    full = multi_head_attention(hidden, w, AttentionMode.FULL)
-    cum = multi_head_attention(hidden, w, AttentionMode.CUMULATIVE_ONLY)
-    col_sums = full.full_scores.sum(axis=1)
+    _, _, full_scores = full_attention(hidden, w)
+    cum = multi_head_attention(hidden, w)
+    col_sums = full_scores.sum(axis=1)
     assert np.abs(cum.cum_scores - col_sums).max() < 1e-5
-    assert cum.full_scores is None
 
 
-@pytest.mark.parametrize("n", [8, 128, 300, 517])
+# Query-block boundaries (one short, exact, one past, one past two blocks)
+# plus the default config's full sequence length.
+@pytest.mark.parametrize("n", sorted({8, 128, 300, 517, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      2 * _BLOCK + 1, 1556}))
 def test_mode_equivalence_context_and_scores(n):
     hidden = random_hidden(n, seed=n)
     w = random_weights(seed=n)
-    a = multi_head_attention(hidden, w, AttentionMode.FULL)
-    b = multi_head_attention(hidden, w, AttentionMode.CUMULATIVE_ONLY)
-    assert np.abs(a.context - b.context).max() < 1e-5
-    assert np.abs(a.avg_cum_scores - b.avg_cum_scores).max() < 1e-5
+    ref_context, ref_cum, _ = full_attention(hidden, w)
+    out = multi_head_attention(hidden, w)
+    assert np.abs(ref_context - out.context).max() < 1e-5
+    assert np.abs(ref_cum.mean(axis=0) - out.avg_cum_scores).max() < 1e-5
 
 
 def test_full_scores_rows_stochastic_and_causal():
-    out = multi_head_attention(random_hidden(12, seed=9), random_weights(seed=9), AttentionMode.FULL)
-    s = out.full_scores
+    _, _, s = full_attention(random_hidden(12, seed=9), random_weights(seed=9))
     assert np.abs(s.sum(axis=2) - 1.0).max() < 1e-5
     for h in range(s.shape[0]):
         assert np.allclose(np.triu(s[h], k=1), 0.0)
 
 
 def test_causality_future_token_does_not_change_past_context():
-    hidden = random_hidden(10, seed=11)
+    # the poked token sits inside the second query block's diagonal tile
+    hidden = random_hidden(_BLOCK + 10, seed=11)
     w = random_weights(seed=11)
-    base = multi_head_attention(hidden, w, AttentionMode.FULL)
+    base = multi_head_attention(hidden, w)
     poked = hidden.copy()
-    poked[7] += 3.0
-    out = multi_head_attention(poked, w, AttentionMode.FULL)
-    assert np.array_equal(base.context[:7], out.context[:7])
+    poked[_BLOCK + 3] += 3.0
+    out = multi_head_attention(poked, w)
+    assert np.array_equal(base.context[:_BLOCK + 3], out.context[:_BLOCK + 3])
 
 
 def test_head_permutation_equivariance():
@@ -85,8 +82,8 @@ def test_head_permutation_equivariance():
 
     w_p = AttentionWeights(heads, permute_cols(mats[0]), permute_cols(mats[1]),
                            permute_cols(mats[2]), mats[3])
-    a = multi_head_attention(hidden, w, AttentionMode.FULL)
-    b = multi_head_attention(hidden, w_p, AttentionMode.FULL)
+    a = multi_head_attention(hidden, w)
+    b = multi_head_attention(hidden, w_p)
     assert np.abs(a.cum_scores[perm] - b.cum_scores).max() < 1e-6
     assert np.abs(a.avg_cum_scores - b.avg_cum_scores).max() < 1e-6
 
@@ -100,33 +97,6 @@ def test_head_count_must_divide_dim():
 def test_hidden_dim_mismatch_rejected():
     with pytest.raises(ValueError, match="dim"):
         multi_head_attention(random_hidden(4, dim=16), random_weights(dim=32))
-
-
-def test_column_sums_identity_like_matrix():
-    s = np.zeros((1, 4, 4), dtype=np.float32)
-    np.fill_diagonal(s[0], 1.0)
-    assert np.array_equal(cumulative_scores_from_full(s)[0], np.ones(4, np.float32))
-
-
-def test_column_sums_hand_case():
-    s = np.array([[[1.0, 0.0], [0.5, 0.5]]], dtype=np.float32)
-    assert np.allclose(cumulative_scores_from_full(s)[0], [1.5, 0.5])
-
-
-def test_column_sums_random_stochastic_matches_oracle():
-    rng = np.random.default_rng(17)
-    raw = rng.uniform(0.1, 1.0, (2, 8, 8)).astype(np.float32)
-    raw *= np.tril(np.ones((8, 8), np.float32))
-    s = raw / raw.sum(axis=2, keepdims=True)
-    got = cumulative_scores_from_full(s)
-    expect = np.stack([[s[h, :, j].sum() for j in range(8)] for h in range(2)])
-    assert np.abs(got - expect).max() < 1e-5
-
-
-def test_column_sums_rejects_non_stochastic():
-    s = np.array([[[0.9, 0.0], [0.5, 0.5]]], dtype=np.float32)
-    with pytest.raises(ValueError, match="stochastic"):
-        cumulative_scores_from_full(s)
 
 
 def test_attend_single_query_matches_manual_softmax():

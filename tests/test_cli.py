@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from lightinfer import bench as bench_mod
 from lightinfer import cli
 from lightinfer import verify as verify_mod
 from lightinfer.verify import CheckResult
@@ -110,6 +111,25 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+def test_merge_layer_beyond_model_exits_2_and_names_key(tmp_path, capsys):
+    path = tmp_path / "deep.ini"
+    path.write_text(BASE_CONFIG.format(merging="false", compression="true",
+                                       keep_ratio="0.25", beta="0.9")
+                    .replace("merge_layers=1,2,3", "merge_layers=1,2,4"))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "merge_layers" in capsys.readouterr().err
+
+
+def test_engine_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    def broken_run(cfg, out=None):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(bench_mod, "do_run", broken_run)
+    with pytest.raises(ValueError, match="engine fault"):
+        cli.main(["run", "--config", write_config(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_bench_csv_contract(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--config", write_config(tmp_path), "--out", str(out)]) == 0
@@ -173,11 +193,20 @@ def test_sweep_grid_rows_and_identity_cell(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", write_config(tmp_path), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
+    assert "jobs=1" in lines[0].split()
     rows = list(csv.DictReader(lines[1:]))
     assert len(rows) == 6  # 3 keep_ratios x 2 betas
     identity = [r for r in rows if r["keep_ratio"] == "1.0000" and r["beta"] == "1.0000"]
     assert len(identity) == 1
     assert float(identity[0]["drift"]) == 0.0
+
+
+def test_sweep_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 1)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
+                     "--jobs", "8"]) == 0
+    assert "jobs=1" in out.read_text().splitlines()[0].split()
 
 
 def test_analyze_outputs_curves_and_nested_masks(tmp_path):

@@ -12,7 +12,8 @@ from lightinfer import (
     load_model,
     prefill,
 )
-from lightinfer.attention import AttentionMode
+from lightinfer.model import _gelu
+from lightinfer.oracle import _forward_no_cache
 
 from conftest import pipeline
 
@@ -160,11 +161,20 @@ def test_generate_rejects_bad_args(tiny_model, tiny_seq):
         generate(tiny_model, tiny_seq, pipeline(), 2, decoding="sampled")
 
 
-def test_full_attention_mode_prefill_close_to_blockwise(tiny_model, tiny_seq):
+# decode (1 row) and default-config prefill (1556 rows) widths, 4C with C=256
+@pytest.mark.parametrize("shape", [(1, 1024), (1556, 1024)])
+def test_gelu_bit_identical_to_literal_expression(shape):
+    x = (3.0 * np.random.default_rng(shape[0]).standard_normal(shape)).astype(np.float32)
+    c0 = np.float32(0.7978845608028654)
+    c1 = np.float32(0.044715)
+    expect = np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c0 * (x + c1 * x * x * x)))
+    assert np.array_equal(_gelu(x.copy()), expect)
+
+
+def test_prefill_logits_match_full_attention_oracle(tiny_model, tiny_seq):
     p = pipeline(merging=False, compression=False)
-    a = prefill(tiny_model, tiny_seq, p, AttentionMode.FULL)
-    b = prefill(tiny_model, tiny_seq, p, AttentionMode.CUMULATIVE_ONLY)
-    assert np.abs(a.logits - b.logits).max() < 1e-4
+    ref = _forward_no_cache(tiny_model, tiny_seq, p)
+    assert np.abs(prefill(tiny_model, tiny_seq, p).logits - ref).max() < 1e-4
 
 
 def test_evict_merged_early_shrinks_shallow_caches(tiny_model, tiny_seq):
