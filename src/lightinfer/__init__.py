@@ -11,6 +11,7 @@ from .kvcache import (
     compress_layer,
     dump_snapshot,
     memory_estimate,
+    normalize_and_compress,
 )
 from .merge import (
     MergePartition,

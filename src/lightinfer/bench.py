@@ -62,7 +62,7 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
     print(f"decode_ms_per_token mean={statistics.mean(dec):.3f} "
           f"median={statistics.median(dec):.3f} n={len(dec)}")
     print(f"total_ms={m.prefill_ms + sum(dec):.3f}")
-    print(f"memory_bytes={m.memory_bytes}")
+    print(f"memory_bytes={m.memory_bytes} allocated_bytes={m.allocated_bytes}")
     print(f"output_tokens={' '.join(str(t) for t in ids)}")
     print("layer tokens image text cache_entries")
     for li in range(len(m.tokens_per_layer)):
@@ -77,7 +77,8 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
         ]
         _write_csv(out, ["layer", "tokens", "image_tokens", "text_tokens", "cache_entries"],
                    rows, cfg.hash(),
-                   comment=f"prefill_ms={m.prefill_ms:.3f} memory_bytes={m.memory_bytes}")
+                   comment=f"prefill_ms={m.prefill_ms:.3f} memory_bytes={m.memory_bytes} "
+                           f"allocated_bytes={m.allocated_bytes}")
     return m
 
 
@@ -100,7 +101,7 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
     model = init_model(cfg.model)
     seq = _build_seq(cfg)
     header = ["label", "length", "keep_ratio", "beta", "prefill_ms", "decode_ms_mean",
-              "total_ms", "memory_bytes", "speedup", "reps"]
+              "total_ms", "memory_bytes", "allocated_bytes", "speedup", "reps"]
     rows = []
     vanilla_total: dict[int, float] = {}
 
@@ -118,12 +119,12 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
             decode_mean = statistics.median(
                 statistics.mean(r.decode_ms_per_token) for r in runs
             )
-            memory = runs[0].memory_bytes
             if variant == "vanilla":
                 vanilla_total[length] = total_ms
             speedup = vanilla_total[length] / total_ms
             rows.append([variant, length, _fmt(keep), _fmt(beta), _fmt(prefill_ms),
-                         _fmt(decode_mean), _fmt(total_ms), memory, f"{speedup:.2f}",
+                         _fmt(decode_mean), _fmt(total_ms), runs[0].memory_bytes,
+                         runs[0].allocated_bytes, f"{speedup:.2f}",
                          bench.repetitions])
             print(" ".join(str(x) for x in rows[-1]))
 

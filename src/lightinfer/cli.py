@@ -84,7 +84,7 @@ def main(argv=None) -> int:
             from .model import init_model, prefill
             model = init_model(cfg.model)
             seq = bench_mod._build_seq(cfg)
-            pre = prefill(model, seq, cfg.pipeline.build())
+            pre = prefill(model, seq, cfg.pipeline.build(), audit=True)
             out = args.out or "cache_snapshot.csv"
             dump_snapshot(pre.cache, out)
             print(f"wrote {out}")

@@ -4,6 +4,11 @@ Compression keeps, per head, the shortest descending-score prefix of
 image entries whose accumulated (caller-normalized) attention mass
 reaches beta; everything else image-kind is evicted. Text entries are
 never evicted. Retained entries go back in original-position order.
+
+Eviction frees memory: the kept rows are copied into new buffers sized
+to exactly the kept count, and the old buffers are released. Appends
+grow a full buffer by an eighth of its capacity (`_GROWTH_DIV`), not by
+doubling, so a cache holds at most ~1/8 more rows than live entries.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .merge import Segment, is_image_segment
+
+# A full buffer grows by capacity // _GROWTH_DIV rows (at least what is needed).
+_GROWTH_DIV = 8
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,7 @@ class HeadCache:
         cap = self._keys.shape[0]
         if self.n + need <= cap:
             return
-        new_cap = max(cap * 2, self.n + need)
+        new_cap = max(cap + cap // _GROWTH_DIV, self.n + need)
         for name in ("_keys", "_values", "_positions", "_segments"):
             old = getattr(self, name)
             buf = np.empty((new_cap,) + old.shape[1:], dtype=old.dtype)
@@ -87,20 +95,28 @@ class HeadCache:
     def segments(self) -> np.ndarray:
         return self._segments[: self.n]
 
+    @property
+    def capacity(self) -> int:
+        return self._keys.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes allocated for keys, values, positions and segments."""
+        return sum(b.nbytes for b in (self._keys, self._values, self._positions, self._segments))
+
     def replace(self, keep_idx: np.ndarray) -> None:
-        """Keep only the given (ascending) entry indices."""
-        m = keep_idx.shape[0]
-        self._keys[:m] = self._keys[keep_idx]
-        self._values[:m] = self._values[keep_idx]
-        self._positions[:m] = self._positions[keep_idx]
-        self._segments[:m] = self._segments[keep_idx]
-        self.n = m
+        """Keep only the given (ascending) entry indices, in new right-sized buffers."""
+        self._keys = self._keys[keep_idx]
+        self._values = self._values[keep_idx]
+        self._positions = self._positions[keep_idx]
+        self._segments = self._segments[keep_idx]
+        self.n = keep_idx.shape[0]
 
 
 @dataclass
 class CacheLayer:
     heads: list[HeadCache]
-    # per-head eviction audit recorded at compression time:
+    # per-head eviction audit, recorded at compression time only when asked:
     # (positions, segments, retained flags, scores) over the entries then present
     audit: Optional[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = None
 
@@ -183,13 +199,18 @@ def _retained_image_indices(scores: np.ndarray, image_idx: np.ndarray, beta: flo
 
 
 def compress_layer(layer_cache: CacheLayer, per_head_scores: Sequence[np.ndarray],
-                   config: CompressionConfig) -> CacheLayer:
-    """Compress one layer in place, independently per head."""
+                   config: CompressionConfig, audit: bool = False) -> CacheLayer:
+    """Compress one layer in place, independently per head.
+
+    With `audit`, the layer records each head's positions, segments,
+    retained flags and scores over the entries present before eviction;
+    otherwise its audit is None.
+    """
     if len(per_head_scores) != len(layer_cache.heads):
         raise ValueError(
             f"{len(per_head_scores)} score vectors for {len(layer_cache.heads)} heads"
         )
-    audit = []
+    records = [] if audit else None
     for h, hc in enumerate(layer_cache.heads):
         scores = np.asarray(per_head_scores[h], dtype=np.float64).reshape(-1)
         if scores.shape[0] != hc.n:
@@ -206,51 +227,63 @@ def compress_layer(layer_cache: CacheLayer, per_head_scores: Sequence[np.ndarray
         retained = np.ones(hc.n, dtype=bool)
         retained[img] = False
         retained[keep_img] = True
-        audit.append((hc.positions.copy(), hc.segments.copy(), retained.copy(), scores.copy()))
+        if audit:
+            records.append((hc.positions.copy(), hc.segments.copy(), retained, scores.copy()))
         if retained.all():
             continue
         hc.replace(np.flatnonzero(retained))
-    layer_cache.audit = audit
+    layer_cache.audit = records
     return layer_cache
 
 
+def normalize_and_compress(layer_cache: CacheLayer, raw_scores: Sequence[np.ndarray],
+                           config: CompressionConfig, audit: bool = False) -> CacheLayer:
+    """Compress one layer from raw per-head scores, one per cache entry.
+
+    Each head's image-entry scores are normalized to sum to 1 first, so
+    beta reads as a fraction of the head's image attention mass.
+    """
+    normalized = []
+    for h, hc in enumerate(layer_cache.heads):
+        s = np.asarray(raw_scores[h], dtype=np.float64).reshape(-1).copy()
+        img = np.flatnonzero(is_image_segment(hc.segments))
+        mass = s[img].sum()
+        if img.size and mass > 0:
+            s[img] /= mass
+        elif img.size:
+            s[img] = 1.0 / img.size
+        normalized.append(s)
+    return compress_layer(layer_cache, normalized, config, audit)
+
+
 def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]],
-                 config: CompressionConfig) -> KVCache:
+                 config: CompressionConfig, audit: bool = False) -> KVCache:
     """Compress every layer >= start_layer with one shared beta.
 
-    scores[layer][head] gives one raw score per cache entry; image-entry
-    scores are normalized per head here, so beta reads as a fraction of
-    the head's image attention mass.
+    scores[layer][head] gives one raw score per cache entry; see
+    `normalize_and_compress`.
     """
     if len(scores) < cache.n_layers:
         raise ValueError(f"scores cover {len(scores)} layers, cache has {cache.n_layers}")
     for layer in range(config.start_layer, cache.n_layers):
         if scores[layer] is None:
             raise ValueError(f"missing scores for layer {layer} (start_layer {config.start_layer})")
-        normalized = []
-        for h, hc in enumerate(cache.layers[layer].heads):
-            s = np.asarray(scores[layer][h], dtype=np.float64).reshape(-1).copy()
-            img = np.flatnonzero(is_image_segment(hc.segments))
-            mass = s[img].sum()
-            if img.size and mass > 0:
-                s[img] /= mass
-            elif img.size:
-                s[img] = 1.0 / img.size
-            normalized.append(s)
-        compress_layer(cache.layers[layer], normalized, config)
+        normalize_and_compress(cache.layers[layer], scores[layer], config, audit)
     return cache
 
 
 @dataclass(frozen=True)
 class MemoryEstimate:
     per_layer: tuple[int, ...]
-    total: int
+    total: int        # logical: live entries x 2 vectors x head_dim x 4 bytes
+    allocated: int    # buffer capacity held for keys, values, positions and segments
 
 
 def memory_estimate(cache: KVCache) -> MemoryEstimate:
-    """Entries x 2 vectors x head_dim x 4 bytes, per layer and total."""
+    """Logical bytes per layer and in total, and the bytes actually allocated."""
     per_layer = tuple(lc.n_entries * 2 * cache.head_dim * 4 for lc in cache.layers)
-    return MemoryEstimate(per_layer, sum(per_layer))
+    allocated = sum(hc.nbytes for lc in cache.layers for hc in lc.heads)
+    return MemoryEstimate(per_layer, sum(per_layer), allocated)
 
 
 def dump_snapshot(cache: KVCache, path) -> None:

@@ -4,8 +4,11 @@ Block layout is standard pre-norm: layer_norm -> causal multi-head
 attention -> residual -> layer_norm -> MLP (4x expansion, tanh-GELU) ->
 residual. Image-token merging runs on the post-block hidden states of
 scheduled layers, using the cumulative attention scores computed inside
-that same layer's attention. Cache compression runs once, at the end of
-prefill, from each layer's own prefill-time per-head cumulative scores.
+that same layer's attention. Cache compression runs on each layer as soon
+as its attention has cached the layer's entries, from that layer's own
+prefill-time per-head cumulative scores, so the full-size cache of every
+layer is never held at once. Only the evict_merged_early ablation, which
+needs the final positions, compresses every layer at the end of prefill.
 Entries appended during decode are never compressed.
 """
 
@@ -20,7 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .attention import AttentionWeights, multi_head_attention, attend_single_query
-from .kvcache import CompressionConfig, KVCache, compress_all, memory_estimate
+from .kvcache import (
+    CompressionConfig,
+    KVCache,
+    compress_all,
+    memory_estimate,
+    normalize_and_compress,
+)
 from .merge import (
     MergeSchedule,
     Segment,
@@ -68,7 +77,8 @@ class RunMetrics:
     image_tokens_per_layer: list[int] = field(default_factory=list)
     text_tokens_per_layer: list[int] = field(default_factory=list)
     cache_entries_per_layer: list[int] = field(default_factory=list)
-    memory_bytes: int = 0
+    memory_bytes: int = 0         # logical bytes of live K/V entries
+    allocated_bytes: int = 0      # K/V/position/segment buffer bytes held
     output_tokens: list[int] = field(default_factory=list)
 
 
@@ -225,7 +235,13 @@ def _validate_pipeline(model: Model, pipeline: PipelineConfig) -> None:
         )
 
 
-def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig) -> PrefillResult:
+def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
+            audit: bool = False) -> PrefillResult:
+    """Run every layer over the input, merging and compressing as configured.
+
+    `audit` records each compressed layer's per-head eviction audit
+    (see `CacheLayer.audit`), for `dump_snapshot`.
+    """
     if len(seq) < 1:
         raise ValueError("prefill input must be nonempty")
     if seq.dim != model.config.dim:
@@ -242,6 +258,10 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig) -> Prefi
     segs = seq.segments
     poss = seq.positions
     cache = KVCache(cfg.n_layers, cfg.n_heads, cfg.dim // cfg.n_heads)
+    compression = pipeline.compression if pipeline.compression_enabled else None
+    # Evicting merged-away entries needs the final positions, so that ablation
+    # keeps every layer's scores and compresses after the last layer.
+    compress_late = pipeline.evict_merged_early
     layer_scores: list[Optional[np.ndarray]] = [None] * cfg.n_layers
 
     metrics = RunMetrics()
@@ -252,17 +272,22 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig) -> Prefi
         x = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
         att = multi_head_attention(x, lw.attn)
         cache.extend_layer(li, att.keys, att.values, poss, segs)
-        layer_scores[li] = att.cum_scores
+        cum, avg = att.cum_scores, att.avg_cum_scores
         hidden = hidden + att.context
+        del x, att  # only the scores are needed past this point
+        if compress_late:
+            layer_scores[li] = cum
+        elif compression is not None and li >= compression.start_layer:
+            normalize_and_compress(cache.layers[li], cum, compression, audit)
         hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
 
         img_mask = is_image_segment(segs)
-        importance_rec.append(att.avg_cum_scores[img_mask].copy())
+        importance = avg[img_mask]
+        importance_rec.append(importance)
 
         if do_merge and li in stage_of:
             keep = schedule.keep_counts[stage_of[li]]
             cur = TokenSequence(hidden, segs, poss)
-            importance = att.avg_cum_scores[img_mask]
             merged_seq = pyramid_merge_layer(cur, importance, keep)
             if merged_seq is not cur:
                 part = partition_tokens(importance, int(img_mask.sum()) - keep)
@@ -288,15 +313,22 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig) -> Prefi
 
     logits = (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[-1]
 
-    if pipeline.evict_merged_early and merge_events:
-        _evict_premerge_entries(cache, layer_scores, segs, poss)
-    if pipeline.compression_enabled:
-        compress_all(cache, layer_scores, pipeline.compression)
+    if compress_late:
+        if merge_events:
+            _evict_premerge_entries(cache, layer_scores, segs, poss)
+        if compression is not None:
+            compress_all(cache, layer_scores, compression, audit)
 
     metrics.prefill_ms = (time.perf_counter() - t0) * 1e3
     metrics.cache_entries_per_layer = cache.entries_per_layer()
-    metrics.memory_bytes = memory_estimate(cache).total
+    _record_memory(metrics, cache)
     return PrefillResult(logits, cache, metrics, importance_rec, merge_events)
+
+
+def _record_memory(metrics: RunMetrics, cache: KVCache) -> None:
+    est = memory_estimate(cache)
+    metrics.memory_bytes = est.total
+    metrics.allocated_bytes = est.allocated
 
 
 def _evict_premerge_entries(cache: KVCache, layer_scores: list, final_segments: np.ndarray,
@@ -362,7 +394,7 @@ def generate(model: Model, seq: TokenSequence, pipeline: PipelineConfig, max_new
         logits, cache = decode_step(model, cache, tok)
         metrics.decode_ms_per_token.append((time.perf_counter() - t0) * 1e3)
         metrics.output_tokens.append(tok)
-    metrics.memory_bytes = memory_estimate(cache).total
+    _record_memory(metrics, cache)
     return metrics.output_tokens, metrics
 
 

@@ -71,7 +71,12 @@ def row_softmax(a: Matrix, causal: bool = False) -> Matrix:
 
 
 def layer_norm(x: Matrix, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> Matrix:
-    """Per-row normalization to mean 0 / variance 1, then affine."""
+    """Per-row normalization to mean 0 / variance 1, then affine.
+
+    Bit-identical to (x - mean) / sqrt(x.var() + eps) * gain + bias: the
+    same float32 operations in the same order, with the mean and the
+    centred copy computed once and the divide and affine run in place.
+    """
     x = np.asarray(x, dtype=np.float32)
     gain = np.asarray(gain, dtype=np.float32).reshape(-1)
     bias = np.asarray(bias, dtype=np.float32).reshape(-1)
@@ -81,9 +86,12 @@ def layer_norm(x: Matrix, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5)
         raise ValueError(
             f"gain/bias length ({gain.shape[0]}/{bias.shape[0]}) must equal cols ({x.shape[1]})"
         )
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + np.float32(eps)) * gain + bias
+    out = x - x.mean(axis=1, keepdims=True)
+    var = np.square(out).mean(axis=1, keepdims=True)
+    out /= np.sqrt(var + np.float32(eps))
+    out *= gain
+    out += bias
+    return out
 
 
 def save_tensor(path, m: Matrix) -> None:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightinfer.kvcache import (
+    _GROWTH_DIV,
     CompressionConfig,
+    HeadCache,
     KVCache,
     compress_all,
     compress_layer,
@@ -235,7 +237,8 @@ def test_snapshot_csv(tmp_path):
     cache = make_cache(n_layers=2, n_heads=1)
     fill_layer(cache, 0, 3, 1)
     fill_layer(cache, 1, 3, 1)
-    compress_all(cache, [None, [np.array([0.7, 0.2, 0.1, 0.0])]], CompressionConfig(0.8, 1))
+    compress_all(cache, [None, [np.array([0.7, 0.2, 0.1, 0.0])]], CompressionConfig(0.8, 1),
+                 audit=True)
     out = tmp_path / "snap.csv"
     dump_snapshot(cache, out)
     rows = list(csv.DictReader(out.open()))
@@ -245,3 +248,54 @@ def test_snapshot_csv(tmp_path):
     assert {r["retained"] for r in layer1} == {"0", "1"}
     dropped = [r for r in layer1 if r["retained"] == "0"]
     assert all(r["segment"] == "image" for r in dropped)
+
+
+def test_audit_recorded_only_when_asked():
+    cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
+    scores = normalized_scores(cache, 0, [np.arange(1.0, 8.0)] * 2)
+    compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0))
+    assert cache.layers[0].audit is None
+    cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
+    compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0), audit=True)
+    audit = cache.layers[0].audit
+    assert len(audit) == 2
+    for (pos, _, retained, _), hc in zip(audit, cache.layers[0].heads):
+        assert pos.tolist() == list(range(7))
+        assert pos[retained].tolist() == hc.positions.tolist()
+
+
+def test_replace_right_sizes_buffers():
+    cache = fill_layer(make_cache(n_heads=2), 0, n_image=40, n_text=3)
+    full = [(hc.keys.copy(), hc.values.copy()) for hc in cache.layers[0].heads]
+    rng = np.random.default_rng(5)
+    raw = [rng.uniform(0.01, 1.0, 43) ** 4 for _ in range(2)]
+    compress_layer(cache.layers[0], normalized_scores(cache, 0, raw), CompressionConfig(0.5, 0))
+    for hc, (keys, values) in zip(cache.layers[0].heads, full):
+        assert hc.n < 43
+        assert hc.capacity == hc.n
+        assert np.array_equal(hc.keys, keys[hc.positions])
+        assert np.array_equal(hc.values, values[hc.positions])
+        assert hc.nbytes == hc.n * (2 * 4 * 4 + 8 + 1)
+
+
+def test_grow_adds_an_eighth_of_capacity():
+    hc = HeadCache(head_dim=4, capacity=64)
+    zeros = np.zeros(4, dtype=np.float32)
+    for i in range(65):
+        hc.append(zeros, zeros, i, Segment.GENERATED)
+    assert hc.capacity == 64 + 64 // _GROWTH_DIV
+    assert hc.positions.tolist() == list(range(65))
+    # a bulk extend beyond one growth step gets exactly what it needs
+    hc.extend(np.zeros((100, 4), np.float32), np.zeros((100, 4), np.float32),
+              np.arange(65, 165), np.full(100, Segment.GENERATED, dtype=np.int8))
+    assert hc.capacity == 165
+
+
+def test_memory_estimate_allocated_counts_capacity():
+    cache = fill_layer(make_cache(n_heads=2), 0, n_image=30, n_text=2)
+    est = memory_estimate(cache)
+    row = 2 * 4 * 4 + 8 + 1  # key + value float32, int64 position, int8 segment
+    assert est.allocated == 2 * 32 * row
+    assert est.total == 2 * 32 * 2 * 4 * 4
+    cache.append(0, kv(), kv(), 32, Segment.GENERATED)
+    assert memory_estimate(cache).allocated == 2 * (32 + 32 // _GROWTH_DIV) * row

@@ -12,7 +12,9 @@ from lightinfer import (
     load_model,
     prefill,
 )
-from lightinfer.model import _gelu
+import lightinfer.model as model_mod
+from lightinfer.kvcache import compress_all, memory_estimate
+from lightinfer.model import _evict_premerge_entries, _gelu
 from lightinfer.oracle import _forward_no_cache
 
 from conftest import pipeline
@@ -212,3 +214,77 @@ def test_weight_import_rejects_shape_mismatch(tmp_path, tiny_model):
     (tmp_path / "w" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="embed"):
         load_model(tmp_path / "w")
+
+
+def prefill_recording_scores(monkeypatch, model, seq, pipe):
+    """Prefill, also returning each layer's raw per-head cumulative scores."""
+    scores = []
+
+    def recording(hidden, weights):
+        out = attention(hidden, weights)
+        scores.append(out.cum_scores.copy())
+        return out
+
+    attention = model_mod.multi_head_attention
+    with monkeypatch.context() as mp:
+        mp.setattr(model_mod, "multi_head_attention", recording)
+        pre = prefill(model, seq, pipe)
+    return pre, scores
+
+
+def assert_same_cache(a, b):
+    for la, lb in zip(a.layers, b.layers):
+        for ha, hb in zip(la.heads, lb.heads):
+            assert np.array_equal(ha.positions, hb.positions)
+            assert np.array_equal(ha.segments, hb.segments)
+            assert ha.keys.tobytes() == hb.keys.tobytes()
+            assert ha.values.tobytes() == hb.values.tobytes()
+
+
+@pytest.mark.parametrize("merging", [False, True])
+@pytest.mark.parametrize("beta", [0.08, 0.5, 0.9])
+def test_per_layer_compression_equals_end_of_prefill(monkeypatch, beta, merging):
+    """Compressing each layer during prefill keeps exactly what compress_all
+    keeps when run on the full cache after the last layer."""
+    # four heads: the two-head tiny model keeps the same entries in both heads
+    model = init_model(ModelConfig(n_layers=4, n_heads=4, dim=64, vocab=64, seed=0))
+    for seed in range(3):
+        seq = build_input(4, 48, 6, redundancy=0.5, seed=seed, dim=64)
+        pipe = pipeline(keep_ratio=0.5, beta=beta, merging=merging)
+        got = prefill(model, seq, pipe)
+        uncompressed = pipeline(keep_ratio=0.5, merging=merging, compression=False)
+        full, scores = prefill_recording_scores(monkeypatch, model, seq, uncompressed)
+        assert sum(full.metrics.cache_entries_per_layer) > sum(got.metrics.cache_entries_per_layer)
+        compress_all(full.cache, scores, pipe.compression)
+        assert_same_cache(got.cache, full.cache)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9])
+def test_evict_merged_early_still_compresses_after_eviction(monkeypatch, tiny_model, tiny_seq, beta):
+    # no merge at the last layer, so its cache holds the final positions
+    evict = pipeline((1, 2), keep_ratio=0.25, beta=beta, evict_early=True)
+    got = prefill(tiny_model, tiny_seq, evict)
+    uncompressed = pipeline((1, 2), keep_ratio=0.25, compression=False)
+    full, scores = prefill_recording_scores(monkeypatch, tiny_model, tiny_seq, uncompressed)
+    last = full.cache.layers[-1].heads[0]
+    _evict_premerge_entries(full.cache, scores, last.segments.copy(), last.positions.copy())
+    compress_all(full.cache, scores, evict.compression)
+    assert_same_cache(got.cache, full.cache)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_allocated_bytes_bounded_after_prefill_and_decode(tiny_model, tiny_seq, beta):
+    pre = prefill(tiny_model, tiny_seq, pipeline(merging=False, beta=beta, start_layer=0))
+    est = memory_estimate(pre.cache)
+    assert pre.metrics.allocated_bytes == est.allocated
+    assert pre.metrics.memory_bytes == est.total
+    cache, tok = pre.cache, 0
+    for _ in range(40):
+        logits, cache = decode_step(tiny_model, cache, tok)
+        tok = int(np.argmax(logits))
+    est = memory_estimate(cache)
+    heads = [hc for lc in cache.layers for hc in lc.heads]
+    row = 2 * cache.head_dim * 4 + 8 + 1
+    one_growth_step = sum((hc.capacity // 8 + 1) * row for hc in heads)
+    assert est.allocated <= est.total * 9 / 8 + one_growth_step
+    assert all(hc.capacity <= hc.n + hc.n // 8 + 1 for hc in heads)
