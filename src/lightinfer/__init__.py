@@ -37,11 +37,10 @@ from .model import (
     load_model,
     prefill,
 )
-from .numerics import layer_norm, load_tensor, matmul, row_softmax, save_tensor
+from .numerics import layer_norm, load_tensor, save_tensor
 from .oracle import (
     attention_mass_curve,
     full_recompute_decode,
-    iterative_pairwise_merge,
     naive_weighted_merge,
 )
 

@@ -16,18 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, EngineConfig
+from .config import VARIANT_FLAGS, ConfigError, EngineConfig
 from .merge import Segment
 from .model import PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
 from .oracle import attention_mass_curve
-
-# variant -> (merging_enabled, compression_enabled)
-VARIANT_FLAGS = {
-    "vanilla": (False, False),
-    "merge-only": (True, False),
-    "cache-only": (False, True),
-    "full": (True, True),
-}
 
 
 def _build_seq(cfg: EngineConfig, seed: Optional[int] = None):

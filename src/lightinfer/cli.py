@@ -1,4 +1,4 @@
-"""Command-line front end: run | verify | bench | sweep | analyze.
+"""Command-line front end: run | bench | sweep | analyze | dump-cache | verify.
 
 Exit codes: 0 success, 2 config error (or unknown verify check), 3
 verification failure. Any other exception is an engine fault and is raised,
@@ -16,12 +16,11 @@ from .kvcache import dump_snapshot
 from .verify import run_checks, select_checks
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="path to a key=value config file")
+def _add_config_flags(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    p.add_argument("--config", required=True, help="path to a key=value config file")
     p.add_argument("--out", default=None, help="write results as CSV to this path")
     p.add_argument("--seed", type=int, default=None, help="override [input] seed")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (sweep only; default 1, capped at the CPU count)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,18 +29,17 @@ def build_parser() -> argparse.ArgumentParser:
                                             "merging and KV cache compression")
     sub = p.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("run", help="one generation; print the per-layer ledger"))
-    _add_common(sub.add_parser("bench", help="latency/memory over output lengths and variants"))
-    _add_common(sub.add_parser("sweep", help="keep_ratio x beta grid with output drift"))
-    _add_common(sub.add_parser("analyze", help="attention-mass curves and retained-token masks"))
+    _add_config_flags(sub.add_parser("run", help="one generation; print the per-layer ledger"))
+    _add_config_flags(sub.add_parser("bench", help="latency/memory over output lengths and variants"))
+    sweep = _add_config_flags(sub.add_parser("sweep", help="keep_ratio x beta grid with output drift"))
+    sweep.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers (default 1, capped at the CPU count)")
+    _add_config_flags(sub.add_parser("analyze", help="attention-mass curves and retained-token masks"))
+    _add_config_flags(sub.add_parser("dump-cache", help="prefill once and dump a cache snapshot CSV"))
 
     v = sub.add_parser("verify", help="run the oracle-backed correctness checks")
-    _add_common(v, config_required=False)
     v.add_argument("--full", action="store_true", help="include the slow timing checks")
     v.add_argument("--check", action="append", default=None, help="run only the named check")
-
-    d = sub.add_parser("dump-cache", help="prefill once and dump a cache snapshot CSV")
-    _add_common(d)
     return p
 
 
@@ -77,7 +75,7 @@ def main(argv=None) -> int:
         elif args.command == "bench":
             bench_mod.do_bench(cfg, out=args.out)
         elif args.command == "sweep":
-            bench_mod.do_sweep(cfg, out=args.out, jobs=args.jobs or 1)
+            bench_mod.do_sweep(cfg, out=args.out, jobs=args.jobs)
         elif args.command == "analyze":
             bench_mod.do_analyze(cfg, out=args.out)
         elif args.command == "dump-cache":

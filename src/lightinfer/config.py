@@ -1,11 +1,15 @@
-"""Flat key=value config files with [model], [input], [pipeline], [bench] sections."""
+"""Flat key=value config files with [model], [input], [pipeline], [bench] sections.
+
+The sections are the fields of EngineConfig, and the keys of each section
+are the fields of its settings dataclass, parsed by their annotated types.
+"""
 
 from __future__ import annotations
 
 import configparser
 import hashlib
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from .kvcache import CompressionConfig
 from .merge import MergeSchedule
@@ -33,7 +37,6 @@ class PipelineSettings:
     keep_ratio: float = 0.35
     beta: float = 0.995
     start_layer: int = 5
-    evict_merged_early: bool = False
 
     def build(self, merging: Optional[bool] = None, compression: Optional[bool] = None,
               keep_ratio: Optional[float] = None, beta: Optional[float] = None) -> PipelineConfig:
@@ -42,7 +45,6 @@ class PipelineSettings:
             compression=CompressionConfig(beta if beta is not None else self.beta, self.start_layer),
             merging_enabled=self.merging_enabled if merging is None else merging,
             compression_enabled=self.compression_enabled if compression is None else compression,
-            evict_merged_early=self.evict_merged_early,
         )
 
 
@@ -71,14 +73,6 @@ class EngineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip())
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw.strip())
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -88,63 +82,26 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(x.strip()) for x in raw.split(",") if x.strip())
+def _parse(kind, raw: str):
+    """Parse one value as the field type `kind`: int, float, bool, str or tuple[T, ...]."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_parse(item, x) for x in raw.split(",") if x.strip())
+    if kind is bool:
+        return _parse_bool(raw)
+    return kind(raw.strip())
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(x.strip()) for x in raw.split(",") if x.strip())
+# section -> (settings class, key -> field type), from the EngineConfig fields
+_SECTIONS = {name: (cls, get_type_hints(cls)) for name, cls in get_type_hints(EngineConfig).items()}
 
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in raw.split(",") if x.strip())
-
-
-_SCHEMA = {
-    "model": {
-        "n_layers": _parse_int,
-        "n_heads": _parse_int,
-        "dim": _parse_int,
-        "vocab": _parse_int,
-        "seed": _parse_int,
-    },
-    "input": {
-        "n_system": _parse_int,
-        "n_image": _parse_int,
-        "n_instruction": _parse_int,
-        "redundancy": _parse_float,
-        "seed": _parse_int,
-    },
-    "pipeline": {
-        "merging_enabled": _parse_bool,
-        "compression_enabled": _parse_bool,
-        "merge_layers": _parse_int_list,
-        "keep_ratio": _parse_float,
-        "beta": _parse_float,
-        "start_layer": _parse_int,
-        "evict_merged_early": _parse_bool,
-    },
-    "bench": {
-        "max_new": _parse_int,
-        "lengths": _parse_int_list,
-        "variants": _parse_str_list,
-        "repetitions": _parse_int,
-        "warmup": _parse_int,
-        "keep_ratios": _parse_float_list,
-        "betas": _parse_float_list,
-        "seeds": _parse_int,
-        "thresholds": _parse_float_list,
-    },
+# bench variant -> (merging_enabled, compression_enabled)
+VARIANT_FLAGS = {
+    "vanilla": (False, False),
+    "merge-only": (True, False),
+    "cache-only": (False, True),
+    "full": (True, True),
 }
-
-_SECTION_TYPES = {
-    "model": ModelConfig,
-    "input": InputConfig,
-    "pipeline": PipelineSettings,
-    "bench": BenchSettings,
-}
-
-KNOWN_VARIANTS = ("vanilla", "merge-only", "cache-only", "full")
 
 
 def load_config(path, seed_override: Optional[int] = None) -> EngineConfig:
@@ -157,36 +114,34 @@ def load_config(path, seed_override: Optional[int] = None) -> EngineConfig:
     except configparser.Error as e:
         raise ConfigError(f"cannot parse config {path}: {e}") from e
 
-    values: dict[str, dict] = {}
+    values: dict[str, dict] = {section: {} for section in _SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        values[section] = {}
+        types = _SECTIONS[section][1]
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in types:
                 raise ConfigError(f"unknown key in [{section}]: {key}")
             try:
-                values[section][key] = _SCHEMA[section][key](raw)
+                values[section][key] = _parse(types[key], raw)
             except ValueError as e:
                 raise ConfigError(f"bad value for [{section}] {key}: {e}") from e
 
     if seed_override is not None:
-        values.setdefault("input", {})["seed"] = seed_override
+        values["input"]["seed"] = seed_override
 
     built = {}
-    for section, cls in _SECTION_TYPES.items():
+    for section, (cls, _) in _SECTIONS.items():
         try:
-            built[section] = cls(**values.get(section, {}))
+            built[section] = cls(**values[section])
         except ValueError as e:
             raise ConfigError(f"invalid [{section}] settings: {e}") from e
 
-    bench: BenchSettings = built["bench"]
-    for v in bench.variants:
-        if v not in KNOWN_VARIANTS:
+    for v in built["bench"].variants:
+        if v not in VARIANT_FLAGS:
             raise ConfigError(f"bad value for [bench] variants: unknown variant {v!r}")
 
-    cfg = EngineConfig(model=built["model"], input=built["input"],
-                       pipeline=built["pipeline"], bench=bench)
+    cfg = EngineConfig(**built)
     _check_cross_section(cfg)
     return cfg
 

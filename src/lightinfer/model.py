@@ -7,9 +7,8 @@ scheduled layers, using the cumulative attention scores computed inside
 that same layer's attention. Cache compression runs on each layer as soon
 as its attention has cached the layer's entries, from that layer's own
 prefill-time per-head cumulative scores, so the full-size cache of every
-layer is never held at once. Only the evict_merged_early ablation, which
-needs the final positions, compresses every layer at the end of prefill.
-Entries appended during decode are never compressed.
+layer is never held at once. Entries appended during decode are never
+compressed.
 """
 
 from __future__ import annotations
@@ -18,15 +17,15 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .attention import AttentionWeights, multi_head_attention, attend_single_query
+# compress_all and partition_tokens stay bound here: the benchmark tracer wraps them by name.
 from .kvcache import (
     CompressionConfig,
     KVCache,
-    compress_all,
+    compress_all,  # noqa: F401
     memory_estimate,
     normalize_and_compress,
 )
@@ -35,7 +34,7 @@ from .merge import (
     Segment,
     TokenSequence,
     is_image_segment,
-    partition_tokens,
+    partition_tokens,  # noqa: F401
     pyramid_merge_layer,
 )
 from .numerics import Matrix, layer_norm, load_tensor, save_tensor
@@ -63,10 +62,6 @@ class PipelineConfig:
     compression: CompressionConfig = CompressionConfig()
     merging_enabled: bool = True
     compression_enabled: bool = True
-    # Ablation: also drop merged-away image tokens from the caches of
-    # layers before the merge point (default keeps them: they were
-    # legitimately attended during prefill).
-    evict_merged_early: bool = False
 
 
 @dataclass
@@ -211,8 +206,6 @@ def _mlp(x: Matrix, lw: LayerWeights) -> Matrix:
 class MergeEvent:
     layer: int
     kept_positions: np.ndarray     # original positions of surviving unmerged image tokens
-    merged_positions: np.ndarray   # original positions collapsed at this stage
-    new_position: int
 
 
 @dataclass
@@ -259,10 +252,6 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     poss = seq.positions
     cache = KVCache(cfg.n_layers, cfg.n_heads, cfg.dim // cfg.n_heads)
     compression = pipeline.compression if pipeline.compression_enabled else None
-    # Evicting merged-away entries needs the final positions, so that ablation
-    # keeps every layer's scores and compresses after the last layer.
-    compress_late = pipeline.evict_merged_early
-    layer_scores: list[Optional[np.ndarray]] = [None] * cfg.n_layers
 
     metrics = RunMetrics()
     importance_rec: list[np.ndarray] = []
@@ -275,9 +264,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         cum, avg = att.cum_scores, att.avg_cum_scores
         hidden = hidden + att.context
         del x, att  # only the scores are needed past this point
-        if compress_late:
-            layer_scores[li] = cum
-        elif compression is not None and li >= compression.start_layer:
+        if compression is not None and li >= compression.start_layer:
             normalize_and_compress(cache.layers[li], cum, compression, audit)
         hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
 
@@ -288,22 +275,11 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         if do_merge and li in stage_of:
             keep = schedule.keep_counts[stage_of[li]]
             cur = TokenSequence(hidden, segs, poss)
-            merged_seq = pyramid_merge_layer(cur, importance, keep)
-            if merged_seq is not cur:
-                part = partition_tokens(importance, int(img_mask.sum()) - keep)
-                img_pos = poss[img_mask]
-                img_seg = segs[img_mask]
-                unmerged_original = part.unmerged[img_seg[part.unmerged] == Segment.IMAGE]
-                new_slot = merged_seq.positions[merged_seq.segments == Segment.MERGED_IMAGE]
-                merge_events.append(
-                    MergeEvent(
-                        layer=li,
-                        kept_positions=img_pos[unmerged_original].copy(),
-                        merged_positions=np.sort(img_pos[part.merged]),
-                        new_position=int(new_slot[-1]),
-                    )
-                )
-            hidden, segs, poss = merged_seq.embeddings, merged_seq.segments, merged_seq.positions
+            merged = pyramid_merge_layer(cur, importance, keep)
+            if merged is not cur:
+                kept = merged.positions[merged.segments == Segment.IMAGE]
+                merge_events.append(MergeEvent(li, kept))
+            hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
             img_mask = is_image_segment(segs)
 
         metrics.tokens_per_layer.append(hidden.shape[0])
@@ -312,13 +288,6 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         metrics.text_tokens_per_layer.append(hidden.shape[0] - n_img)
 
     logits = (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[-1]
-
-    if compress_late:
-        if merge_events:
-            _evict_premerge_entries(cache, layer_scores, segs, poss)
-        if compression is not None:
-            compress_all(cache, layer_scores, compression, audit)
-
     metrics.prefill_ms = (time.perf_counter() - t0) * 1e3
     metrics.cache_entries_per_layer = cache.entries_per_layer()
     _record_memory(metrics, cache)
@@ -329,23 +298,6 @@ def _record_memory(metrics: RunMetrics, cache: KVCache) -> None:
     est = memory_estimate(cache)
     metrics.memory_bytes = est.total
     metrics.allocated_bytes = est.allocated
-
-
-def _evict_premerge_entries(cache: KVCache, layer_scores: list, final_segments: np.ndarray,
-                            final_positions: np.ndarray) -> None:
-    """Drop image entries whose position did not survive to the final layer."""
-    surviving = set(final_positions[is_image_segment(final_segments)].tolist())
-    for li, lc in enumerate(cache.layers):
-        ref = lc.heads[0]
-        img = is_image_segment(ref.segments)
-        keep_mask = ~img | np.isin(ref.positions, list(surviving))
-        if keep_mask.all():
-            continue
-        keep_idx = np.flatnonzero(keep_mask)
-        for hc in lc.heads:
-            hc.replace(keep_idx)
-        if layer_scores[li] is not None:
-            layer_scores[li] = layer_scores[li][:, keep_idx]
 
 
 def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray, KVCache]:
@@ -377,13 +329,11 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
     return logits, cache
 
 
-def generate(model: Model, seq: TokenSequence, pipeline: PipelineConfig, max_new: int,
-             decoding: str = "greedy") -> tuple[list[int], RunMetrics]:
+def generate(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
+             max_new: int) -> tuple[list[int], RunMetrics]:
     """Prefill, then max_new greedy decode steps (toy vocab has no stop token)."""
     if max_new < 1:
         raise ValueError(f"max_new must be >= 1, got {max_new}")
-    if decoding != "greedy":
-        raise ValueError(f"only greedy decoding is supported, got {decoding!r}")
 
     pre = prefill(model, seq, pipeline)
     metrics = pre.metrics

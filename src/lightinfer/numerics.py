@@ -33,43 +33,6 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     return m
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product in float32.
-
-    Accumulation is delegated to the BLAS sgemm kernel, which is
-    deterministic for fixed shapes within a process.
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
-def row_softmax(a: Matrix, causal: bool = False) -> Matrix:
-    """Row-wise softmax, stabilized by row-max subtraction.
-
-    With causal=True (square input), entries above the diagonal are
-    exactly zero: masked logits are -inf, and exp(-inf) == 0.
-    """
-    a = np.asarray(a, dtype=np.float32)
-    if a.ndim != 2:
-        raise ValueError(f"row_softmax needs a 2-D input, got shape {a.shape}")
-    if causal:
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"causal softmax needs a square matrix, got {a.shape}")
-        n = a.shape[0]
-        mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-        a = np.where(mask, np.float32(-np.inf), a)
-    m = a.max(axis=1, keepdims=True)
-    e = np.exp(a - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def layer_norm(x: Matrix, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> Matrix:
     """Per-row normalization to mean 0 / variance 1, then affine.
 

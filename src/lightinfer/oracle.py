@@ -33,24 +33,6 @@ def naive_weighted_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarr
     return out
 
 
-def iterative_pairwise_merge(rows: np.ndarray) -> np.ndarray:
-    """The literal procedure: repeatedly mean the last two rows.
-
-    For rows ordered by descending importance this yields effective
-    weights {1/2, 1/4, ..., 2^-r, 2^-r}, which differ from the linear
-    weight list used by the fast merge; shipped for comparison only.
-    """
-    rows = np.asarray(rows, dtype=np.float32)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValueError(f"need at least one row, got shape {rows.shape}")
-    work = [rows[i].copy() for i in range(rows.shape[0])]
-    while len(work) > 1:
-        b = work.pop()
-        a = work.pop()
-        work.append((a + b) * np.float32(0.5))
-    return work[0]
-
-
 def full_attention(hidden: np.ndarray, weights: AttentionWeights
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Causal multi-head attention with every score materialized.

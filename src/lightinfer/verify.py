@@ -49,13 +49,12 @@ class CheckResult:
 
 
 def _pipeline(merge_layers=(5, 9, 13), keep_ratio=1.0, beta=1.0, start_layer=5,
-              merging=True, compression=True, evict_early=False) -> PipelineConfig:
+              merging=True, compression=True) -> PipelineConfig:
     return PipelineConfig(
         merge_schedule=MergeSchedule(tuple(merge_layers), keep_ratio),
         compression=CompressionConfig(beta, start_layer),
         merging_enabled=merging,
         compression_enabled=compression,
-        evict_merged_early=evict_early,
     )
 
 

@@ -21,11 +21,10 @@ def tiny_seq():
 
 
 def pipeline(merge_layers=(1, 2, 3), keep_ratio=0.5, beta=1.0, start_layer=1,
-             merging=True, compression=True, evict_early=False):
+             merging=True, compression=True):
     return PipelineConfig(
         merge_schedule=MergeSchedule(merge_layers, keep_ratio),
         compression=CompressionConfig(beta, start_layer),
         merging_enabled=merging,
         compression_enabled=compression,
-        evict_merged_early=evict_early,
     )

@@ -1,10 +1,12 @@
 import csv
+from dataclasses import asdict
 
 import pytest
 
 from lightinfer import bench as bench_mod
 from lightinfer import cli
 from lightinfer import verify as verify_mod
+from lightinfer.config import EngineConfig, load_config
 from lightinfer.verify import CheckResult
 
 BASE_CONFIG = """
@@ -105,6 +107,27 @@ def test_bad_value_exits_2_and_names_key(tmp_path, capsys):
     bad.write_text("[model]\nn_layers=banana\n")
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert "n_layers" in capsys.readouterr().err
+
+
+def test_default_config_roundtrips_through_ini(tmp_path):
+    default = EngineConfig()
+    lines = []
+    for section, settings in asdict(default).items():
+        lines.append(f"[{section}]")
+        for key, value in settings.items():
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{key} = {text}")
+    path = tmp_path / "all.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_config(path) == default
+
+
+def test_flags_belong_to_their_subcommand(tmp_path, capsys):
+    for argv in (["verify", "--config", "x.ini"], ["verify", "--seed", "1"],
+                 ["run", "--config", write_config(tmp_path), "--jobs", "2"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from lightinfer import (
 )
 import lightinfer.model as model_mod
 from lightinfer.kvcache import compress_all, memory_estimate
-from lightinfer.model import _evict_premerge_entries, _gelu
+from lightinfer.model import _gelu
 from lightinfer.oracle import _forward_no_cache
 
 from conftest import pipeline
@@ -159,8 +159,6 @@ def test_generate_metrics_shapes(tiny_model, tiny_seq):
 def test_generate_rejects_bad_args(tiny_model, tiny_seq):
     with pytest.raises(ValueError):
         generate(tiny_model, tiny_seq, pipeline(), 0)
-    with pytest.raises(ValueError, match="greedy"):
-        generate(tiny_model, tiny_seq, pipeline(), 2, decoding="sampled")
 
 
 # decode (1 row) and default-config prefill (1556 rows) widths, 4C with C=256
@@ -179,23 +177,15 @@ def test_prefill_logits_match_full_attention_oracle(tiny_model, tiny_seq):
     assert np.abs(prefill(tiny_model, tiny_seq, p).logits - ref).max() < 1e-4
 
 
-def test_evict_merged_early_shrinks_shallow_caches(tiny_model, tiny_seq):
-    keep = pipeline(keep_ratio=0.25, compression=False)
-    evict = pipeline(keep_ratio=0.25, compression=False, evict_early=True)
-    a = prefill(tiny_model, tiny_seq, keep)
-    b = prefill(tiny_model, tiny_seq, evict)
-    assert b.metrics.cache_entries_per_layer[0] < a.metrics.cache_entries_per_layer[0]
-    # evicted caches keep all text entries
-    hc = b.cache.layers[0].heads[0]
-    assert int(((hc.segments != Segment.IMAGE) & (hc.segments != Segment.MERGED_IMAGE)).sum()) == 10
-
-
 def test_merge_events_masks_are_nested(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.25, compression=False))
     events = pre.merge_events
     assert [e.layer for e in events] == [1, 2, 3]
     sets = [set(e.kept_positions.tolist()) for e in events]
     assert sets[2] <= sets[1] <= sets[0]
+    # every stage re-merged the previous merged token, so one merged token remains
+    for e in events:
+        assert len(e.kept_positions) == pre.metrics.image_tokens_per_layer[e.layer] - 1
 
 
 def test_weight_export_import_roundtrip(tmp_path, tiny_model, tiny_seq):
@@ -257,19 +247,6 @@ def test_per_layer_compression_equals_end_of_prefill(monkeypatch, beta, merging)
         assert sum(full.metrics.cache_entries_per_layer) > sum(got.metrics.cache_entries_per_layer)
         compress_all(full.cache, scores, pipe.compression)
         assert_same_cache(got.cache, full.cache)
-
-
-@pytest.mark.parametrize("beta", [0.5, 0.9])
-def test_evict_merged_early_still_compresses_after_eviction(monkeypatch, tiny_model, tiny_seq, beta):
-    # no merge at the last layer, so its cache holds the final positions
-    evict = pipeline((1, 2), keep_ratio=0.25, beta=beta, evict_early=True)
-    got = prefill(tiny_model, tiny_seq, evict)
-    uncompressed = pipeline((1, 2), keep_ratio=0.25, compression=False)
-    full, scores = prefill_recording_scores(monkeypatch, tiny_model, tiny_seq, uncompressed)
-    last = full.cache.layers[-1].heads[0]
-    _evict_premerge_entries(full.cache, scores, last.segments.copy(), last.positions.copy())
-    compress_all(full.cache, scores, evict.compression)
-    assert_same_cache(got.cache, full.cache)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5])

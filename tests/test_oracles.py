@@ -10,7 +10,6 @@ from lightinfer import (
     full_recompute_decode,
     generate,
     init_model,
-    iterative_pairwise_merge,
     merge_tokens,
     naive_weighted_merge,
     prefill,
@@ -43,34 +42,6 @@ def test_fast_merge_matches_naive_oracle():
         rows = rng.uniform(-1, 1, (r + 1, c)).astype(np.float32)
         w = np.arange(r + 1, 0, -1, dtype=np.float32)
         assert np.abs(merge_tokens(rows) - naive_weighted_merge(rows, w / w.sum())).max() < 1e-6
-
-
-def test_iterative_two_rows_is_mean():
-    rows = np.array([[2.0, 0.0], [0.0, 2.0]], np.float32)
-    assert np.allclose(iterative_pairwise_merge(rows), [1.0, 1.0])
-
-
-def test_iterative_effective_weights_are_halving():
-    # chaining means over [v1, v2, v3] gives v1/2 + v2/4 + v3/4
-    rows = np.array([[1.0], [0.0], [0.0]], np.float32)
-    assert np.allclose(iterative_pairwise_merge(rows), [0.5])
-    rows = np.array([[0.0], [1.0], [0.0]], np.float32)
-    assert np.allclose(iterative_pairwise_merge(rows), [0.25])
-    rows = np.array([[0.0], [0.0], [1.0]], np.float32)
-    assert np.allclose(iterative_pairwise_merge(rows), [0.25])
-
-
-def test_iterative_identical_rows_fixed_point():
-    v = np.array([1.0, 2.0, 3.0], np.float32)
-    assert np.allclose(iterative_pairwise_merge(np.stack([v] * 4)), v, atol=1e-6)
-
-
-def test_iterative_differs_from_weight_list_in_general():
-    # second-position weight is 1/4 under pairwise chaining but 1/3 in the
-    # linear weight list, so the two procedures are not equivalent
-    rows = np.array([[0.0], [1.0], [0.0]], np.float32)
-    assert np.allclose(iterative_pairwise_merge(rows), [0.25])
-    assert np.allclose(merge_tokens(rows), [1 / 3])
 
 
 def test_recompute_single_step_equals_prefill_argmax():
