@@ -57,16 +57,12 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
     print(f"memory_bytes={m.memory_bytes} allocated_bytes={m.allocated_bytes}")
     print(f"output_tokens={' '.join(str(t) for t in ids)}")
     print("layer tokens image text cache_entries")
-    for li in range(len(m.tokens_per_layer)):
-        print(f"{li} {m.tokens_per_layer[li]} {m.image_tokens_per_layer[li]} "
-              f"{m.text_tokens_per_layer[li]} {m.cache_entries_per_layer[li]}")
+    rows = [[li, r.tokens, r.image_tokens, r.tokens - r.image_tokens, r.cache_entries]
+            for li, r in enumerate(m.layers)]
+    for row in rows:
+        print(" ".join(str(x) for x in row))
 
     if out:
-        rows = [
-            [li, m.tokens_per_layer[li], m.image_tokens_per_layer[li],
-             m.text_tokens_per_layer[li], m.cache_entries_per_layer[li]]
-            for li in range(len(m.tokens_per_layer))
-        ]
         _write_csv(out, ["layer", "tokens", "image_tokens", "text_tokens", "cache_entries"],
                    rows, cfg.hash(),
                    comment=f"prefill_ms={m.prefill_ms:.3f} memory_bytes={m.memory_bytes} "
@@ -189,7 +185,8 @@ def do_analyze(cfg: EngineConfig, out: Optional[str] = None) -> tuple[list[list]
     pre = prefill(model, seq, cfg.pipeline.build())
 
     curve_rows = []
-    for li, scores in enumerate(pre.image_importance_per_layer):
+    for li, rec in enumerate(pre.metrics.layers):
+        scores = rec.importance
         if scores.size == 0:
             continue
         ks = attention_mass_curve(scores, cfg.bench.thresholds)
@@ -198,9 +195,11 @@ def do_analyze(cfg: EngineConfig, out: Optional[str] = None) -> tuple[list[list]
 
     original_image_positions = seq.positions[seq.segments == Segment.IMAGE]
     mask_rows = []
-    for ev in pre.merge_events:
-        kept = set(ev.kept_positions.tolist())
-        mask_rows.append([ev.layer] + [1 if int(p) in kept else 0 for p in original_image_positions])
+    for li, rec in enumerate(pre.metrics.layers):
+        if rec.kept_positions is None:
+            continue
+        kept = set(rec.kept_positions.tolist())
+        mask_rows.append([li] + [1 if int(p) in kept else 0 for p in original_image_positions])
 
     for row in curve_rows:
         print(" ".join(str(x) for x in row))

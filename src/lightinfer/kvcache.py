@@ -24,6 +24,10 @@ from .merge import Segment, is_image_segment
 # A full buffer grows by capacity // _GROWTH_DIV rows (at least what is needed).
 _GROWTH_DIV = 8
 
+# One head's eviction audit over the entries present before eviction:
+# (positions, segments, retained flags, scores).
+HeadAudit = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class CompressionConfig:
@@ -116,9 +120,6 @@ class HeadCache:
 @dataclass
 class CacheLayer:
     heads: list[HeadCache]
-    # per-head eviction audit, recorded at compression time only when asked:
-    # (positions, segments, retained flags, scores) over the entries then present
-    audit: Optional[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = None
 
     @property
     def n_entries(self) -> int:
@@ -199,12 +200,11 @@ def _retained_image_indices(scores: np.ndarray, image_idx: np.ndarray, beta: flo
 
 
 def compress_layer(layer_cache: CacheLayer, per_head_scores: Sequence[np.ndarray],
-                   config: CompressionConfig, audit: bool = False) -> CacheLayer:
+                   config: CompressionConfig, audit: bool = False) -> Optional[list[HeadAudit]]:
     """Compress one layer in place, independently per head.
 
-    With `audit`, the layer records each head's positions, segments,
-    retained flags and scores over the entries present before eviction;
-    otherwise its audit is None.
+    With `audit`, returns each head's positions, segments, retained flags
+    and scores over the entries present before eviction; otherwise None.
     """
     if len(per_head_scores) != len(layer_cache.heads):
         raise ValueError(
@@ -232,16 +232,17 @@ def compress_layer(layer_cache: CacheLayer, per_head_scores: Sequence[np.ndarray
         if retained.all():
             continue
         hc.replace(np.flatnonzero(retained))
-    layer_cache.audit = records
-    return layer_cache
+    return records
 
 
 def normalize_and_compress(layer_cache: CacheLayer, raw_scores: Sequence[np.ndarray],
-                           config: CompressionConfig, audit: bool = False) -> CacheLayer:
+                           config: CompressionConfig,
+                           audit: bool = False) -> Optional[list[HeadAudit]]:
     """Compress one layer from raw per-head scores, one per cache entry.
 
     Each head's image-entry scores are normalized to sum to 1 first, so
-    beta reads as a fraction of the head's image attention mass.
+    beta reads as a fraction of the head's image attention mass. Returns
+    the audit of `compress_layer`.
     """
     normalized = []
     for h, hc in enumerate(layer_cache.heads):
@@ -257,7 +258,7 @@ def normalize_and_compress(layer_cache: CacheLayer, raw_scores: Sequence[np.ndar
 
 
 def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]],
-                 config: CompressionConfig, audit: bool = False) -> KVCache:
+                 config: CompressionConfig) -> KVCache:
     """Compress every layer >= start_layer with one shared beta.
 
     scores[layer][head] gives one raw score per cache entry; see
@@ -268,7 +269,7 @@ def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]
     for layer in range(config.start_layer, cache.n_layers):
         if scores[layer] is None:
             raise ValueError(f"missing scores for layer {layer} (start_layer {config.start_layer})")
-        normalize_and_compress(cache.layers[layer], scores[layer], config, audit)
+        normalize_and_compress(cache.layers[layer], scores[layer], config)
     return cache
 
 
@@ -286,18 +287,20 @@ def memory_estimate(cache: KVCache) -> MemoryEstimate:
     return MemoryEstimate(per_layer, sum(per_layer), allocated)
 
 
-def dump_snapshot(cache: KVCache, path) -> None:
+def dump_snapshot(cache: KVCache, audits: Sequence[Optional[list[HeadAudit]]], path) -> None:
     """Debug CSV: one row per layer/head/entry with retention info.
 
-    Layers never compressed report their live entries as retained with
-    an empty score field.
+    `audits[layer]` is the per-head audit that compression returned for
+    that layer, or None. A layer with an audit reports every entry it
+    held before eviction; a layer without one reports its live entries
+    as retained with an empty score field.
     """
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "head", "position", "segment", "retained", "score"])
-        for li, lc in enumerate(cache.layers):
-            if lc.audit is not None:
-                for h, (pos, seg, ret, sc) in enumerate(lc.audit):
+        for li, (lc, audit) in enumerate(zip(cache.layers, audits, strict=True)):
+            if audit is not None:
+                for h, (pos, seg, ret, sc) in enumerate(audit):
                     for p, s, r, v in zip(pos, seg, ret, sc):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), int(r), f"{v:.8g}"])
             else:

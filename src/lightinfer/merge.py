@@ -28,9 +28,6 @@ class Segment(IntEnum):
 
 # Merged tokens stay image-kind: later merge stages and cache compression
 # treat them like any other image token.
-IMAGE_SEGMENTS = (Segment.IMAGE, Segment.MERGED_IMAGE)
-
-
 def is_image_segment(codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     return (codes == Segment.IMAGE) | (codes == Segment.MERGED_IMAGE)

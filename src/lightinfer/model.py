@@ -9,14 +9,17 @@ as its attention has cached the layer's entries, from that layer's own
 prefill-time per-head cumulative scores, so the full-size cache of every
 layer is never held at once. Entries appended during decode are never
 compressed.
+
+Prefill leaves one `LayerRecord` per layer in `RunMetrics.layers`: token
+counts, cache entries, image-token importance, the merge stage's
+survivors and, when asked, each head's eviction audit.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .attention import AttentionWeights, multi_head_attention, attend_single_que
 # compress_all and partition_tokens stay bound here: the benchmark tracer wraps them by name.
 from .kvcache import (
     CompressionConfig,
+    HeadAudit,
     KVCache,
     compress_all,  # noqa: F401
     memory_estimate,
@@ -37,7 +41,7 @@ from .merge import (
     partition_tokens,  # noqa: F401
     pyramid_merge_layer,
 )
-from .numerics import Matrix, layer_norm, load_tensor, save_tensor
+from .numerics import Matrix, layer_norm
 
 
 @dataclass(frozen=True)
@@ -65,16 +69,25 @@ class PipelineConfig:
 
 
 @dataclass
+class LayerRecord:
+    """What prefill did at one layer."""
+    tokens: int                    # rows leaving the layer, after any merge
+    image_tokens: int
+    cache_entries: int             # summed over heads, after this layer's compression
+    importance: np.ndarray         # head-averaged score of each image token attended over
+    # merge layers only: original positions of the image tokens that survived unmerged
+    kept_positions: Optional[np.ndarray] = None
+    # compressed layers, only when prefill is asked to audit: one entry per head
+    evictions: Optional[list[HeadAudit]] = None
+
+
+@dataclass
 class RunMetrics:
     prefill_ms: float = 0.0
     decode_ms_per_token: list[float] = field(default_factory=list)
-    tokens_per_layer: list[int] = field(default_factory=list)
-    image_tokens_per_layer: list[int] = field(default_factory=list)
-    text_tokens_per_layer: list[int] = field(default_factory=list)
-    cache_entries_per_layer: list[int] = field(default_factory=list)
+    layers: list[LayerRecord] = field(default_factory=list)
     memory_bytes: int = 0         # logical bytes of live K/V entries
     allocated_bytes: int = 0      # K/V/position/segment buffer bytes held
-    output_tokens: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -203,18 +216,10 @@ def _mlp(x: Matrix, lw: LayerWeights) -> Matrix:
 
 
 @dataclass
-class MergeEvent:
-    layer: int
-    kept_positions: np.ndarray     # original positions of surviving unmerged image tokens
-
-
-@dataclass
 class PrefillResult:
     logits: np.ndarray             # (vocab,) next-token logits
     cache: KVCache
     metrics: RunMetrics
-    image_importance_per_layer: list[np.ndarray]
-    merge_events: list[MergeEvent]
 
 
 def _validate_pipeline(model: Model, pipeline: PipelineConfig) -> None:
@@ -232,8 +237,8 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
             audit: bool = False) -> PrefillResult:
     """Run every layer over the input, merging and compressing as configured.
 
-    `audit` records each compressed layer's per-head eviction audit
-    (see `CacheLayer.audit`), for `dump_snapshot`.
+    `audit` stores each compressed layer's per-head eviction audit in
+    its `LayerRecord.evictions`, for `dump_snapshot`.
     """
     if len(seq) < 1:
         raise ValueError("prefill input must be nonempty")
@@ -254,8 +259,6 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     compression = pipeline.compression if pipeline.compression_enabled else None
 
     metrics = RunMetrics()
-    importance_rec: list[np.ndarray] = []
-    merge_events: list[MergeEvent] = []
 
     for li, lw in enumerate(model.layers):
         x = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
@@ -264,34 +267,30 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         cum, avg = att.cum_scores, att.avg_cum_scores
         hidden = hidden + att.context
         del x, att  # only the scores are needed past this point
+        evictions = None
         if compression is not None and li >= compression.start_layer:
-            normalize_and_compress(cache.layers[li], cum, compression, audit)
+            evictions = normalize_and_compress(cache.layers[li], cum, compression, audit)
         hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
 
         img_mask = is_image_segment(segs)
         importance = avg[img_mask]
-        importance_rec.append(importance)
-
+        kept = None
         if do_merge and li in stage_of:
             keep = schedule.keep_counts[stage_of[li]]
             cur = TokenSequence(hidden, segs, poss)
             merged = pyramid_merge_layer(cur, importance, keep)
             if merged is not cur:
                 kept = merged.positions[merged.segments == Segment.IMAGE]
-                merge_events.append(MergeEvent(li, kept))
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
             img_mask = is_image_segment(segs)
 
-        metrics.tokens_per_layer.append(hidden.shape[0])
-        n_img = int(img_mask.sum())
-        metrics.image_tokens_per_layer.append(n_img)
-        metrics.text_tokens_per_layer.append(hidden.shape[0] - n_img)
+        metrics.layers.append(LayerRecord(hidden.shape[0], int(img_mask.sum()),
+                                          cache.layers[li].n_entries, importance, kept, evictions))
 
     logits = (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[-1]
     metrics.prefill_ms = (time.perf_counter() - t0) * 1e3
-    metrics.cache_entries_per_layer = cache.entries_per_layer()
     _record_memory(metrics, cache)
-    return PrefillResult(logits, cache, metrics, importance_rec, merge_events)
+    return PrefillResult(logits, cache, metrics)
 
 
 def _record_memory(metrics: RunMetrics, cache: KVCache) -> None:
@@ -338,76 +337,13 @@ def generate(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     pre = prefill(model, seq, pipeline)
     metrics = pre.metrics
     logits, cache = pre.logits, pre.cache
+    ids = []
     for _ in range(max_new):
         tok = int(np.argmax(logits))
         t0 = time.perf_counter()
         logits, cache = decode_step(model, cache, tok)
         metrics.decode_ms_per_token.append((time.perf_counter() - t0) * 1e3)
-        metrics.output_tokens.append(tok)
+        ids.append(tok)
     _record_memory(metrics, cache)
-    return metrics.output_tokens, metrics
+    return ids, metrics
 
-
-# --- weight export / import ------------------------------------------------
-
-def _tensor_map(model: Model) -> dict[str, np.ndarray]:
-    tensors = {"embed": model.embed, "w_out": model.w_out,
-               "final_g": model.final_g, "final_b": model.final_b}
-    for i, lw in enumerate(model.layers):
-        p = f"layer{i:02d}."
-        tensors[p + "ln1_g"] = lw.ln1_g
-        tensors[p + "ln1_b"] = lw.ln1_b
-        tensors[p + "wq"] = lw.attn.wq
-        tensors[p + "wk"] = lw.attn.wk
-        tensors[p + "wv"] = lw.attn.wv
-        tensors[p + "wo"] = lw.attn.wo
-        tensors[p + "ln2_g"] = lw.ln2_g
-        tensors[p + "ln2_b"] = lw.ln2_b
-        tensors[p + "w1"] = lw.w1
-        tensors[p + "b1"] = lw.b1
-        tensors[p + "w2"] = lw.w2
-        tensors[p + "b2"] = lw.b2
-    return tensors
-
-
-def export_weights(model: Model, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": asdict(model.config), "tensors": {}}
-    for name, t in _tensor_map(model).items():
-        t2 = t if t.ndim == 2 else t.reshape(1, -1)
-        fname = name.replace(".", "_") + ".lvt"
-        save_tensor(out / fname, t2)
-        manifest["tensors"][name] = {"file": fname, "rows": int(t2.shape[0]), "cols": int(t2.shape[1])}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-
-
-def load_model(in_dir) -> Model:
-    src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
-    config = ModelConfig(**manifest["config"])
-    loaded = {}
-    for name, meta in manifest["tensors"].items():
-        t = load_tensor(src / meta["file"])
-        if t.shape != (meta["rows"], meta["cols"]):
-            raise ValueError(f"{name}: file shape {t.shape} != manifest {(meta['rows'], meta['cols'])}")
-        loaded[name] = t
-
-    def vec(name):
-        return loaded[name].reshape(-1)
-
-    layers = []
-    for i in range(config.n_layers):
-        p = f"layer{i:02d}."
-        layers.append(
-            LayerWeights(
-                ln1_g=vec(p + "ln1_g"), ln1_b=vec(p + "ln1_b"),
-                attn=AttentionWeights(config.n_heads, loaded[p + "wq"], loaded[p + "wk"],
-                                      loaded[p + "wv"], loaded[p + "wo"]),
-                ln2_g=vec(p + "ln2_g"), ln2_b=vec(p + "ln2_b"),
-                w1=loaded[p + "w1"], b1=vec(p + "b1"),
-                w2=loaded[p + "w2"], b2=vec(p + "b2"),
-            )
-        )
-    return Model(config=config, embed=loaded["embed"], layers=tuple(layers),
-                 final_g=vec("final_g"), final_b=vec("final_b"), w_out=loaded["w_out"])

@@ -7,30 +7,10 @@ behave like the reduced-precision regimes the engine is meant to model.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 # A Matrix is a 2-D row-major float32 ndarray.
 Matrix = np.ndarray
-
-LVT_MAGIC = b"LVT1"
-
-
-def as_matrix(a, name: str = "matrix") -> Matrix:
-    """Coerce to 2-D float32, rejecting non-finite entries.
-
-    Used at API boundaries (inputs, file loads); hot paths skip the
-    finiteness scan and only check shapes.
-    """
-    m = np.asarray(a, dtype=np.float32)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
 
 
 def layer_norm(x: Matrix, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> Matrix:
@@ -56,23 +36,3 @@ def layer_norm(x: Matrix, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5)
     out += bias
     return out
 
-
-def save_tensor(path, m: Matrix) -> None:
-    """Write one tensor: magic "LVT1", u64le rows, u64le cols, f32le data."""
-    m = as_matrix(m, "tensor")
-    with open(path, "wb") as f:
-        f.write(LVT_MAGIC)
-        f.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-
-
-def load_tensor(path) -> Matrix:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != LVT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {LVT_MAGIC!r}")
-        rows, cols = struct.unpack("<QQ", f.read(16))
-        data = np.frombuffer(f.read(rows * cols * 4), dtype="<f4")
-        if data.size != rows * cols:
-            raise ValueError(f"{path}: truncated tensor payload ({data.size} of {rows * cols})")
-    return data.reshape(rows, cols).astype(np.float32)

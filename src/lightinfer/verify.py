@@ -204,12 +204,12 @@ def check_token_ledger() -> CheckResult:
     seq = build_input(30, 1000, 50, redundancy=0.5, seed=3, dim=64)
     pre = prefill(model, seq, _pipeline((5, 9, 13), keep_ratio=0.03, merging=True, compression=False))
     expect = [1000] * 5 + [311] * 4 + [97] * 4 + [30] * 15
-    got = pre.metrics.image_tokens_per_layer
+    got = [r.image_tokens for r in pre.metrics.layers]
     if got != expect:
         return CheckResult("token_ledger", False, f"image counts per layer {got} != {expect}")
-    if any(t != 80 for t in pre.metrics.text_tokens_per_layer):
-        return CheckResult("token_ledger", False,
-                           f"text counts vary: {set(pre.metrics.text_tokens_per_layer)}")
+    text = {r.tokens - r.image_tokens for r in pre.metrics.layers}
+    if text != {80}:
+        return CheckResult("token_ledger", False, f"text counts vary: {text}")
     return CheckResult("token_ledger", True,
                        "image counts 1000/311/97/30 at the scheduled layers, text constant at 80")
 

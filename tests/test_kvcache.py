@@ -14,6 +14,7 @@ from lightinfer.kvcache import (
     compress_layer,
     dump_snapshot,
     memory_estimate,
+    normalize_and_compress,
 )
 from lightinfer.merge import Segment, is_image_segment
 
@@ -237,10 +238,10 @@ def test_snapshot_csv(tmp_path):
     cache = make_cache(n_layers=2, n_heads=1)
     fill_layer(cache, 0, 3, 1)
     fill_layer(cache, 1, 3, 1)
-    compress_all(cache, [None, [np.array([0.7, 0.2, 0.1, 0.0])]], CompressionConfig(0.8, 1),
-                 audit=True)
+    audit = normalize_and_compress(cache.layers[1], [np.array([0.7, 0.2, 0.1, 0.0])],
+                                   CompressionConfig(0.8, 1), audit=True)
     out = tmp_path / "snap.csv"
-    dump_snapshot(cache, out)
+    dump_snapshot(cache, [None, audit], out)
     rows = list(csv.DictReader(out.open()))
     assert {r["layer"] for r in rows} == {"0", "1"}
     layer1 = [r for r in rows if r["layer"] == "1"]
@@ -253,11 +254,9 @@ def test_snapshot_csv(tmp_path):
 def test_audit_recorded_only_when_asked():
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
     scores = normalized_scores(cache, 0, [np.arange(1.0, 8.0)] * 2)
-    compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0))
-    assert cache.layers[0].audit is None
+    assert compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0)) is None
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
-    compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0), audit=True)
-    audit = cache.layers[0].audit
+    audit = compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0), audit=True)
     assert len(audit) == 2
     for (pos, _, retained, _), hc in zip(audit, cache.layers[0].heads):
         assert pos.tolist() == list(range(7))

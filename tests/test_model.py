@@ -6,10 +6,8 @@ from lightinfer import (
     Segment,
     build_input,
     decode_step,
-    export_weights,
     generate,
     init_model,
-    load_model,
     prefill,
 )
 import lightinfer.model as model_mod
@@ -94,14 +92,16 @@ def test_identity_pipeline_bitwise_logits(tiny_model, tiny_seq):
 
 def test_prefill_token_ledger(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.25, compression=False))
-    m = pre.metrics
+    layers = pre.metrics.layers
     # 24 image tokens, stage ratio 0.25^(1/3): 15, 9, 6 at layers 1/2/3
-    assert m.image_tokens_per_layer == [24, 15, 9, 6]
-    assert m.text_tokens_per_layer == [10, 10, 10, 10]
-    assert m.tokens_per_layer == [34, 25, 19, 16]
+    assert [r.image_tokens for r in layers] == [24, 15, 9, 6]
+    assert [r.tokens - r.image_tokens for r in layers] == [10, 10, 10, 10]
+    assert [r.tokens for r in layers] == [34, 25, 19, 16]
     # layer l caches what layer l attended over: the previous layer's exit
-    per_head = [e // 2 for e in m.cache_entries_per_layer]
+    per_head = [r.cache_entries // 2 for r in layers]
     assert per_head == [34, 34, 25, 19]
+    # and scores every image token it attended over
+    assert [r.importance.size for r in layers] == [24, 24, 15, 9]
 
 
 def test_prefill_cache_matches_compression_ledger(tiny_model, tiny_seq):
@@ -113,6 +113,29 @@ def test_prefill_cache_matches_compression_ledger(tiny_model, tiny_seq):
             assert n_text == 10
             if li >= 1:
                 assert n_img < [34, 34, 25, 19][li] - 10
+
+
+def test_layer_record_on_compressed_prefill(tiny_model, tiny_seq):
+    p = pipeline(keep_ratio=0.5, beta=0.5, start_layer=1)
+    pre = prefill(tiny_model, tiny_seq, p)
+    layers = pre.metrics.layers
+    assert [r.cache_entries for r in layers] == pre.cache.entries_per_layer()
+    assert all(r.evictions is None for r in layers)
+
+    audited = prefill(tiny_model, tiny_seq, p, audit=True)
+    assert [r.cache_entries for r in audited.metrics.layers] == pre.cache.entries_per_layer()
+    evicted = 0
+    for li, (rec, lc) in enumerate(zip(audited.metrics.layers, audited.cache.layers)):
+        if li < 1:
+            assert rec.evictions is None
+            continue
+        assert len(rec.evictions) == len(lc.heads)
+        for (pos, _, retained, _), hc in zip(rec.evictions, lc.heads):
+            # the audit covers every entry the layer cached: the previous layer's exit
+            assert len(pos) == audited.metrics.layers[li - 1].tokens
+            assert pos[retained].tolist() == hc.positions.tolist()
+            evicted += int((~retained).sum())
+    assert evicted > 0
 
 
 def test_prefill_rejects_empty_and_wrong_dim(tiny_model):
@@ -143,16 +166,17 @@ def test_generate_deterministic_across_sessions(tiny_model, tiny_seq):
     ids_b, mb = generate(tiny_model, tiny_seq, p, 10)
     assert ids_a == ids_b
     assert ma.memory_bytes == mb.memory_bytes
-    assert ma.tokens_per_layer == mb.tokens_per_layer
+    assert [r.tokens for r in ma.layers] == [r.tokens for r in mb.layers]
+    assert [r.cache_entries for r in ma.layers] == [r.cache_entries for r in mb.layers]
 
 
 def test_generate_metrics_shapes(tiny_model, tiny_seq):
     ids, m = generate(tiny_model, tiny_seq, pipeline(), 1)
     assert len(m.decode_ms_per_token) == 1
     assert len(ids) == 1
-    assert m.output_tokens == ids
-    assert len(m.tokens_per_layer) == 4
-    merged_sizes = m.tokens_per_layer
+    assert 0 <= ids[0] < 64
+    assert len(m.layers) == 4
+    merged_sizes = [r.tokens for r in m.layers]
     assert all(a >= b for a, b in zip(merged_sizes, merged_sizes[1:]))
 
 
@@ -177,33 +201,16 @@ def test_prefill_logits_match_full_attention_oracle(tiny_model, tiny_seq):
     assert np.abs(prefill(tiny_model, tiny_seq, p).logits - ref).max() < 1e-4
 
 
-def test_merge_events_masks_are_nested(tiny_model, tiny_seq):
+def test_merge_kept_positions_are_nested(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.25, compression=False))
-    events = pre.merge_events
-    assert [e.layer for e in events] == [1, 2, 3]
-    sets = [set(e.kept_positions.tolist()) for e in events]
+    layers = pre.metrics.layers
+    kept = {li: r.kept_positions for li, r in enumerate(layers) if r.kept_positions is not None}
+    assert sorted(kept) == [1, 2, 3]
+    sets = [set(kept[li].tolist()) for li in (1, 2, 3)]
     assert sets[2] <= sets[1] <= sets[0]
     # every stage re-merged the previous merged token, so one merged token remains
-    for e in events:
-        assert len(e.kept_positions) == pre.metrics.image_tokens_per_layer[e.layer] - 1
-
-
-def test_weight_export_import_roundtrip(tmp_path, tiny_model, tiny_seq):
-    export_weights(tiny_model, tmp_path / "weights")
-    clone = load_model(tmp_path / "weights")
-    assert clone.config == tiny_model.config
-    p = pipeline(keep_ratio=0.5, beta=0.9)
-    assert generate(clone, tiny_seq, p, 8)[0] == generate(tiny_model, tiny_seq, p, 8)[0]
-
-
-def test_weight_import_rejects_shape_mismatch(tmp_path, tiny_model):
-    import json
-    export_weights(tiny_model, tmp_path / "w")
-    manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
-    manifest["tensors"]["embed"]["rows"] = 999
-    (tmp_path / "w" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="embed"):
-        load_model(tmp_path / "w")
+    for li, positions in kept.items():
+        assert len(positions) == layers[li].image_tokens - 1
 
 
 def prefill_recording_scores(monkeypatch, model, seq, pipe):
@@ -244,7 +251,8 @@ def test_per_layer_compression_equals_end_of_prefill(monkeypatch, beta, merging)
         got = prefill(model, seq, pipe)
         uncompressed = pipeline(keep_ratio=0.5, merging=merging, compression=False)
         full, scores = prefill_recording_scores(monkeypatch, model, seq, uncompressed)
-        assert sum(full.metrics.cache_entries_per_layer) > sum(got.metrics.cache_entries_per_layer)
+        assert (sum(r.cache_entries for r in full.metrics.layers)
+                > sum(r.cache_entries for r in got.metrics.layers))
         compress_all(full.cache, scores, pipe.compression)
         assert_same_cache(got.cache, full.cache)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lightinfer.numerics import layer_norm, load_tensor, save_tensor
+from lightinfer.numerics import layer_norm
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -43,21 +43,3 @@ def test_layer_norm_length_mismatch():
     with pytest.raises(ValueError, match="gain/bias"):
         layer_norm(np.zeros((2, 4), np.float32), np.ones(3, np.float32), np.zeros(4, np.float32))
 
-
-def test_tensor_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    m = rng.uniform(-1, 1, (5, 7)).astype(np.float32)
-    path = tmp_path / "t.lvt"
-    save_tensor(path, m)
-    raw = path.read_bytes()
-    assert raw[:4] == b"LVT1"
-    assert int.from_bytes(raw[4:12], "little") == 5
-    assert int.from_bytes(raw[12:20], "little") == 7
-    assert np.array_equal(load_tensor(path), m)
-
-
-def test_tensor_file_bad_magic(tmp_path):
-    path = tmp_path / "bad.lvt"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
-        load_tensor(path)
