@@ -1,25 +1,36 @@
 """Benchmark, sweep and analysis runners behind the CLI.
 
 All timings come from the monotonic clock inside generate(); bench rows
-are medians over >= 5 repetitions with a discarded warm-up run. CSVs
-carry a config-hash comment line so identical configs are comparable.
+are medians over 5 repetitions after one discarded warm-up run, for each
+of the four variants. CSVs carry a config-hash comment line so identical
+configs are comparable.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .config import VARIANT_FLAGS, ConfigError, EngineConfig
+from .config import EngineConfig
 from .merge import Segment
-from .model import PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
+from .model import Model, PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
 from .oracle import attention_mass_curve
+
+# bench variant -> (merging_enabled, compression_enabled); vanilla first,
+# since every other row's speedup is against it
+VARIANT_FLAGS = {
+    "vanilla": (False, False),
+    "merge-only": (True, False),
+    "cache-only": (False, True),
+    "full": (True, True),
+}
+_REPETITIONS = 5
+# cumulative attention-mass levels reported by analyze
+_THRESHOLDS = (0.90, 0.95, 0.99)
 
 
 def _build_seq(cfg: EngineConfig, seed: Optional[int] = None):
@@ -70,22 +81,12 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
     return m
 
 
-def _timed_runs(model, seq, pipeline: PipelineConfig, max_new: int, reps: int, warmup: int):
-    results = []
-    for _ in range(warmup + reps):
-        results.append(generate(model, seq, pipeline, max_new)[1])
-    return results[warmup:]
+def _timed_runs(model, seq, pipeline: PipelineConfig, max_new: int) -> list[RunMetrics]:
+    generate(model, seq, pipeline, max_new)  # warm-up, discarded
+    return [generate(model, seq, pipeline, max_new)[1] for _ in range(_REPETITIONS)]
 
 
 def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
-    bench = cfg.bench
-    if "vanilla" not in bench.variants:
-        raise ConfigError("bad value for [bench] variants: bench needs vanilla "
-                          "(speedup baseline)")
-    if bench.repetitions < 5:
-        raise ConfigError(f"bad value for [bench] repetitions: bench needs >= 5, "
-                          f"got {bench.repetitions}")
-
     model = init_model(cfg.model)
     seq = _build_seq(cfg)
     header = ["label", "length", "keep_ratio", "beta", "prefill_ms", "decode_ms_mean",
@@ -93,14 +94,12 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
     rows = []
     vanilla_total: dict[int, float] = {}
 
-    ordered = ["vanilla"] + [v for v in bench.variants if v != "vanilla"]
-    for variant in ordered:
-        merging, compression = VARIANT_FLAGS[variant]
+    for variant, (merging, compression) in VARIANT_FLAGS.items():
         pipeline = cfg.pipeline.build(merging=merging, compression=compression)
         keep = cfg.pipeline.keep_ratio if merging else 1.0
         beta = cfg.pipeline.beta if compression else 1.0
-        for length in bench.lengths:
-            runs = _timed_runs(model, seq, pipeline, length, bench.repetitions, bench.warmup)
+        for length in cfg.bench.lengths:
+            runs = _timed_runs(model, seq, pipeline, length)
             prefill_ms = statistics.median(r.prefill_ms for r in runs)
             totals = [r.prefill_ms + sum(r.decode_ms_per_token) for r in runs]
             total_ms = statistics.median(totals)
@@ -112,18 +111,16 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
             speedup = vanilla_total[length] / total_ms
             rows.append([variant, length, _fmt(keep), _fmt(beta), _fmt(prefill_ms),
                          _fmt(decode_mean), _fmt(total_ms), runs[0].memory_bytes,
-                         runs[0].allocated_bytes, f"{speedup:.2f}",
-                         bench.repetitions])
+                         runs[0].allocated_bytes, f"{speedup:.2f}", _REPETITIONS])
             print(" ".join(str(x) for x in rows[-1]))
 
     if out:
-        _write_csv(out, header, rows, cfg.hash(), comment=f"repetitions={bench.repetitions}")
+        _write_csv(out, header, rows, cfg.hash(), comment=f"repetitions={_REPETITIONS}")
     return rows
 
 
-def _sweep_cell(cfg: EngineConfig, keep_ratio: float, beta: float,
+def _sweep_cell(cfg: EngineConfig, model: Model, keep_ratio: float, beta: float,
                 vanilla_ids: list[list[int]]) -> list:
-    model = init_model(cfg.model)
     pipeline = cfg.pipeline.build(merging=True, compression=True,
                                   keep_ratio=keep_ratio, beta=beta)
     drifts, prefills, totals, decmeans, memories = [], [], [], [], []
@@ -144,11 +141,9 @@ def _sweep_cell(cfg: EngineConfig, keep_ratio: float, beta: float,
     ]
 
 
-def do_sweep(cfg: EngineConfig, out: Optional[str] = None, jobs: int = 1) -> list[list]:
-    """Run the keep_ratio x beta grid with `jobs` worker processes, capped at
-    the CPU count."""
+def do_sweep(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
+    """Run the keep_ratio x beta grid, one cell after another."""
     bench = cfg.bench
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
     model = init_model(cfg.model)
     disabled = cfg.pipeline.build(merging=False, compression=False)
     vanilla_ids = []
@@ -156,21 +151,15 @@ def do_sweep(cfg: EngineConfig, out: Optional[str] = None, jobs: int = 1) -> lis
         seq = _build_seq(cfg, seed=cfg.input.seed + i)
         vanilla_ids.append(generate(model, seq, disabled, bench.max_new)[0])
 
-    cells = [(kr, b) for kr in bench.keep_ratios for b in bench.betas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_sweep_cell, [cfg] * len(cells),
-                               [c[0] for c in cells], [c[1] for c in cells],
-                               [vanilla_ids] * len(cells)))
-    else:
-        rows = [_sweep_cell(cfg, kr, b, vanilla_ids) for kr, b in cells]
+    rows = [_sweep_cell(cfg, model, kr, b, vanilla_ids)
+            for kr in bench.keep_ratios for b in bench.betas]
 
     header = ["keep_ratio", "beta", "seeds", "drift", "prefill_ms", "decode_ms_mean",
               "total_ms", "memory_bytes"]
     for row in rows:
         print(" ".join(str(x) for x in row))
     if out:
-        _write_csv(out, header, rows, cfg.hash(), comment=f"seeds={bench.seeds} jobs={jobs}")
+        _write_csv(out, header, rows, cfg.hash(), comment=f"seeds={bench.seeds}")
     return rows
 
 
@@ -189,8 +178,8 @@ def do_analyze(cfg: EngineConfig, out: Optional[str] = None) -> tuple[list[list]
         scores = rec.importance
         if scores.size == 0:
             continue
-        ks = attention_mass_curve(scores, cfg.bench.thresholds)
-        for t, k in zip(cfg.bench.thresholds, ks):
+        ks = attention_mass_curve(scores, _THRESHOLDS)
+        for t, k in zip(_THRESHOLDS, ks):
             curve_rows.append([li, _fmt(t), k, scores.size, f"{k / scores.size:.4f}"])
 
     original_image_positions = seq.positions[seq.segments == Segment.IMAGE]

@@ -31,9 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_config_flags(sub.add_parser("run", help="one generation; print the per-layer ledger"))
     _add_config_flags(sub.add_parser("bench", help="latency/memory over output lengths and variants"))
-    sweep = _add_config_flags(sub.add_parser("sweep", help="keep_ratio x beta grid with output drift"))
-    sweep.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (default 1, capped at the CPU count)")
+    _add_config_flags(sub.add_parser("sweep", help="keep_ratio x beta grid with output drift"))
     _add_config_flags(sub.add_parser("analyze", help="attention-mass curves and retained-token masks"))
     _add_config_flags(sub.add_parser("dump-cache", help="prefill once and dump a cache snapshot CSV"))
 
@@ -75,7 +73,7 @@ def main(argv=None) -> int:
         elif args.command == "bench":
             bench_mod.do_bench(cfg, out=args.out)
         elif args.command == "sweep":
-            bench_mod.do_sweep(cfg, out=args.out, jobs=args.jobs)
+            bench_mod.do_sweep(cfg, out=args.out)
         elif args.command == "analyze":
             bench_mod.do_analyze(cfg, out=args.out)
         elif args.command == "dump-cache":

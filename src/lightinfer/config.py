@@ -52,13 +52,9 @@ class PipelineSettings:
 class BenchSettings:
     max_new: int = 64
     lengths: tuple[int, ...] = (128, 256, 512, 1024, 2048, 4096)
-    variants: tuple[str, ...] = ("vanilla", "merge-only", "cache-only", "full")
-    repetitions: int = 5
-    warmup: int = 1
     keep_ratios: tuple[float, ...] = (0.35, 0.15, 0.03)
     betas: tuple[float, ...] = (0.995,)
     seeds: int = 5
-    thresholds: tuple[float, ...] = (0.90, 0.95, 0.99)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse(kind, raw: str):
-    """Parse one value as the field type `kind`: int, float, bool, str or tuple[T, ...]."""
+    """Parse one value as the field type `kind`: int, float, bool or tuple[T, ...]."""
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
         return tuple(_parse(item, x) for x in raw.split(",") if x.strip())
@@ -94,14 +90,6 @@ def _parse(kind, raw: str):
 
 # section -> (settings class, key -> field type), from the EngineConfig fields
 _SECTIONS = {name: (cls, get_type_hints(cls)) for name, cls in get_type_hints(EngineConfig).items()}
-
-# bench variant -> (merging_enabled, compression_enabled)
-VARIANT_FLAGS = {
-    "vanilla": (False, False),
-    "merge-only": (True, False),
-    "cache-only": (False, True),
-    "full": (True, True),
-}
 
 
 def load_config(path, seed_override: Optional[int] = None) -> EngineConfig:
@@ -137,10 +125,6 @@ def load_config(path, seed_override: Optional[int] = None) -> EngineConfig:
         except ValueError as e:
             raise ConfigError(f"invalid [{section}] settings: {e}") from e
 
-    for v in built["bench"].variants:
-        if v not in VARIANT_FLAGS:
-            raise ConfigError(f"bad value for [bench] variants: unknown variant {v!r}")
-
     cfg = EngineConfig(**built)
     _check_cross_section(cfg)
     return cfg
@@ -170,6 +154,6 @@ def _check_cross_section(cfg: EngineConfig) -> None:
         try:
             schedule = p.build(**overrides).merge_schedule
             if cfg.input.n_image > 0:
-                schedule.resolve(cfg.input.n_image)
+                schedule.keep_counts(cfg.input.n_image)
         except ValueError as e:
             raise ConfigError(f"invalid {where} settings: {e}") from e

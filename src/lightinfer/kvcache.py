@@ -117,17 +117,11 @@ class HeadCache:
         self.n = keep_idx.shape[0]
 
 
-@dataclass
-class CacheLayer:
-    heads: list[HeadCache]
-
-    @property
-    def n_entries(self) -> int:
-        return sum(h.n for h in self.heads)
-
-
 class KVCache:
-    """Per-layer, per-head key/value entries with segment tags."""
+    """Per-layer, per-head key/value entries with segment tags.
+
+    `layers[layer]` is that layer's list of `HeadCache`, one per head.
+    """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int):
         if n_layers < 1 or n_heads < 1 or head_dim < 1:
@@ -135,19 +129,16 @@ class KVCache:
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.head_dim = head_dim
-        self.layers = [
-            CacheLayer([HeadCache(head_dim) for _ in range(n_heads)]) for _ in range(n_layers)
-        ]
+        self.layers = [[HeadCache(head_dim) for _ in range(n_heads)] for _ in range(n_layers)]
         self._max_position = -1
 
-    def append(self, layer: int, keys: np.ndarray, values: np.ndarray, position: int, segment: int) -> "KVCache":
+    def append(self, layer: int, keys: np.ndarray, values: np.ndarray, position: int, segment: int) -> None:
         """Append one entry to every head of a layer (decode path)."""
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range [0, {self.n_layers})")
         keys = np.asarray(keys, dtype=np.float32).reshape(self.n_heads, self.head_dim)
         values = np.asarray(values, dtype=np.float32).reshape(self.n_heads, self.head_dim)
-        lc = self.layers[layer]
-        for h, hc in enumerate(lc.heads):
+        for h, hc in enumerate(self.layers[layer]):
             if hc.n and position <= hc.positions[-1]:
                 raise ValueError(
                     f"out-of-order append: position {position} <= last {int(hc.positions[-1])} "
@@ -155,7 +146,6 @@ class KVCache:
                 )
             hc.append(keys[h], values[h], position, segment)
         self._max_position = max(self._max_position, position)
-        return self
 
     def extend_layer(self, layer: int, keys: np.ndarray, values: np.ndarray,
                      positions: np.ndarray, segments: np.ndarray) -> None:
@@ -169,8 +159,7 @@ class KVCache:
         segments = np.asarray(segments, dtype=np.int8)
         if np.any(np.diff(positions) < 0):
             raise ValueError(f"prefill positions must be non-decreasing (layer {layer})")
-        lc = self.layers[layer]
-        for h, hc in enumerate(lc.heads):
+        for h, hc in enumerate(self.layers[layer]):
             if hc.n and positions.size and positions[0] < hc.positions[-1]:
                 raise ValueError(f"prefill block precedes existing entries (layer {layer})")
             hc.extend(keys[h], values[h], positions, segments)
@@ -181,7 +170,7 @@ class KVCache:
         return self._max_position + 1
 
     def entries_per_layer(self) -> list[int]:
-        return [lc.n_entries for lc in self.layers]
+        return [sum(hc.n for hc in heads) for heads in self.layers]
 
 
 def _retained_image_indices(scores: np.ndarray, image_idx: np.ndarray, beta: float) -> np.ndarray:
@@ -199,19 +188,17 @@ def _retained_image_indices(scores: np.ndarray, image_idx: np.ndarray, beta: flo
     return image_idx[np.sort(order[:k])]
 
 
-def compress_layer(layer_cache: CacheLayer, per_head_scores: Sequence[np.ndarray],
+def compress_layer(heads: list[HeadCache], per_head_scores: Sequence[np.ndarray],
                    config: CompressionConfig, audit: bool = False) -> Optional[list[HeadAudit]]:
-    """Compress one layer in place, independently per head.
+    """Compress one layer's heads in place, each independently.
 
     With `audit`, returns each head's positions, segments, retained flags
     and scores over the entries present before eviction; otherwise None.
     """
-    if len(per_head_scores) != len(layer_cache.heads):
-        raise ValueError(
-            f"{len(per_head_scores)} score vectors for {len(layer_cache.heads)} heads"
-        )
+    if len(per_head_scores) != len(heads):
+        raise ValueError(f"{len(per_head_scores)} score vectors for {len(heads)} heads")
     records = [] if audit else None
-    for h, hc in enumerate(layer_cache.heads):
+    for h, hc in enumerate(heads):
         scores = np.asarray(per_head_scores[h], dtype=np.float64).reshape(-1)
         if scores.shape[0] != hc.n:
             raise ValueError(
@@ -235,7 +222,7 @@ def compress_layer(layer_cache: CacheLayer, per_head_scores: Sequence[np.ndarray
     return records
 
 
-def normalize_and_compress(layer_cache: CacheLayer, raw_scores: Sequence[np.ndarray],
+def normalize_and_compress(heads: list[HeadCache], raw_scores: Sequence[np.ndarray],
                            config: CompressionConfig,
                            audit: bool = False) -> Optional[list[HeadAudit]]:
     """Compress one layer from raw per-head scores, one per cache entry.
@@ -245,7 +232,7 @@ def normalize_and_compress(layer_cache: CacheLayer, raw_scores: Sequence[np.ndar
     the audit of `compress_layer`.
     """
     normalized = []
-    for h, hc in enumerate(layer_cache.heads):
+    for h, hc in enumerate(heads):
         s = np.asarray(raw_scores[h], dtype=np.float64).reshape(-1).copy()
         img = np.flatnonzero(is_image_segment(hc.segments))
         mass = s[img].sum()
@@ -254,7 +241,7 @@ def normalize_and_compress(layer_cache: CacheLayer, raw_scores: Sequence[np.ndar
         elif img.size:
             s[img] = 1.0 / img.size
         normalized.append(s)
-    return compress_layer(layer_cache, normalized, config, audit)
+    return compress_layer(heads, normalized, config, audit)
 
 
 def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]],
@@ -275,16 +262,15 @@ def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]
 
 @dataclass(frozen=True)
 class MemoryEstimate:
-    per_layer: tuple[int, ...]
     total: int        # logical: live entries x 2 vectors x head_dim x 4 bytes
     allocated: int    # buffer capacity held for keys, values, positions and segments
 
 
 def memory_estimate(cache: KVCache) -> MemoryEstimate:
-    """Logical bytes per layer and in total, and the bytes actually allocated."""
-    per_layer = tuple(lc.n_entries * 2 * cache.head_dim * 4 for lc in cache.layers)
-    allocated = sum(hc.nbytes for lc in cache.layers for hc in lc.heads)
-    return MemoryEstimate(per_layer, sum(per_layer), allocated)
+    """Logical bytes of the live entries, and the bytes actually allocated."""
+    total = sum(cache.entries_per_layer()) * 2 * cache.head_dim * 4
+    allocated = sum(hc.nbytes for heads in cache.layers for hc in heads)
+    return MemoryEstimate(total, allocated)
 
 
 def dump_snapshot(cache: KVCache, audits: Sequence[Optional[list[HeadAudit]]], path) -> None:
@@ -298,12 +284,12 @@ def dump_snapshot(cache: KVCache, audits: Sequence[Optional[list[HeadAudit]]], p
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "head", "position", "segment", "retained", "score"])
-        for li, (lc, audit) in enumerate(zip(cache.layers, audits, strict=True)):
+        for li, (heads, audit) in enumerate(zip(cache.layers, audits, strict=True)):
             if audit is not None:
                 for h, (pos, seg, ret, sc) in enumerate(audit):
                     for p, s, r, v in zip(pos, seg, ret, sc):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), int(r), f"{v:.8g}"])
             else:
-                for h, hc in enumerate(lc.heads):
+                for h, hc in enumerate(heads):
                     for p, s in zip(hc.positions, hc.segments):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), 1, ""])

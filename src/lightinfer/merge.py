@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
 
 import numpy as np
 
@@ -101,11 +100,10 @@ def plan_keep_counts(n_image: int, target_ratio: float, n_stages: int) -> list[i
 
 @dataclass(frozen=True)
 class MergeSchedule:
-    """Which layers merge and how many image tokens each stage keeps."""
+    """Which layers merge, and the fraction of image tokens left after the last."""
 
     merge_layers: tuple[int, ...] = (5, 9, 13)
     target_ratio: float = 0.35
-    keep_counts: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         layers = tuple(self.merge_layers)
@@ -116,25 +114,18 @@ class MergeSchedule:
             raise ValueError(f"merge_layers must be >= 0, got {layers}")
         if not (0.0 < self.target_ratio <= 1.0):
             raise ValueError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
-        if self.keep_counts is not None:
-            kc = tuple(int(c) for c in self.keep_counts)
-            object.__setattr__(self, "keep_counts", kc)
-            if len(kc) != len(layers):
-                raise ValueError(f"{len(kc)} keep_counts for {len(layers)} merge layers")
-            if any(b > a for a, b in zip(kc, kc[1:])):
-                raise ValueError(f"keep_counts must be non-increasing, got {kc}")
 
-    def resolve(self, n_image: int) -> "MergeSchedule":
-        """Fill keep_counts for a concrete image-token count."""
+    def keep_counts(self, n_image: int) -> dict[int, int]:
+        """Merge layer -> image tokens that stage keeps, for n_image input tokens."""
         if not self.merge_layers:
-            return MergeSchedule((), self.target_ratio, ())
+            return {}
         counts = plan_keep_counts(n_image, self.target_ratio, len(self.merge_layers))
         if abs(counts[-1] - n_image * self.target_ratio) > 1.0 + 1e-9:
             raise ValueError(
                 f"staged counts {counts} land {counts[-1]} tokens, more than 1 away "
                 f"from target {n_image * self.target_ratio:.2f}"
             )
-        return MergeSchedule(self.merge_layers, self.target_ratio, tuple(counts))
+        return dict(zip(self.merge_layers, counts))
 
 
 @dataclass(frozen=True)

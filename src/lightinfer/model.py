@@ -248,8 +248,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
 
     cfg = model.config
     do_merge = pipeline.merging_enabled and seq.n_image > 0
-    schedule = pipeline.merge_schedule.resolve(seq.n_image) if do_merge else None
-    stage_of = {layer: i for i, layer in enumerate(schedule.merge_layers)} if do_merge else {}
+    keep_counts = pipeline.merge_schedule.keep_counts(seq.n_image) if do_merge else {}
 
     t0 = time.perf_counter()
     hidden = seq.embeddings
@@ -275,17 +274,17 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         img_mask = is_image_segment(segs)
         importance = avg[img_mask]
         kept = None
-        if do_merge and li in stage_of:
-            keep = schedule.keep_counts[stage_of[li]]
+        if li in keep_counts:
             cur = TokenSequence(hidden, segs, poss)
-            merged = pyramid_merge_layer(cur, importance, keep)
+            merged = pyramid_merge_layer(cur, importance, keep_counts[li])
             if merged is not cur:
                 kept = merged.positions[merged.segments == Segment.IMAGE]
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
             img_mask = is_image_segment(segs)
 
         metrics.layers.append(LayerRecord(hidden.shape[0], int(img_mask.sum()),
-                                          cache.layers[li].n_entries, importance, kept, evictions))
+                                          sum(hc.n for hc in cache.layers[li]), importance, kept,
+                                          evictions))
 
     logits = (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[-1]
     metrics.prefill_ms = (time.perf_counter() - t0) * 1e3
@@ -301,7 +300,7 @@ def _record_memory(metrics: RunMetrics, cache: KVCache) -> None:
 
 def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray, KVCache]:
     """One greedy-decode forward step attending to the cached entries."""
-    if cache.layers[0].heads[0].n == 0:
+    if cache.layers[0][0].n == 0:
         raise ValueError("decode_step needs a cache populated by prefill")
     if not 0 <= token_id < model.config.vocab:
         raise ValueError(f"token id {token_id} outside vocab {model.config.vocab}")
@@ -319,7 +318,7 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
         v = (x @ lw.attn.wv).reshape(h_count, hd)
         cache.append(li, k, v, pos, Segment.GENERATED)
         ctx = np.empty((h_count, hd), dtype=np.float32)
-        for hi, hc in enumerate(cache.layers[li].heads):
+        for hi, hc in enumerate(cache.layers[li]):
             ctx[hi] = attend_single_query(q[hi], hc.keys, hc.values)
         hidden = hidden + ctx.reshape(1, cfg.dim) @ lw.attn.wo
         hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)

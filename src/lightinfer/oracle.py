@@ -68,8 +68,7 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
     prefill time (causal rows are unaffected by appended tokens).
     """
     do_merge = pipeline.merging_enabled and seq.n_image > 0
-    schedule = pipeline.merge_schedule.resolve(seq.n_image) if do_merge else None
-    stage_of = {layer: i for i, layer in enumerate(schedule.merge_layers)} if do_merge else {}
+    keep_counts = pipeline.merge_schedule.keep_counts(seq.n_image) if do_merge else {}
 
     hidden, segs, poss = seq.embeddings, seq.segments, seq.positions
     for li, lw in enumerate(model.layers):
@@ -77,14 +76,12 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
         context, _, scores = full_attention(x, lw.attn)
         hidden = hidden + context
         hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
-        if do_merge and li in stage_of:
+        if li in keep_counts:
             prefill_rows = segs != Segment.GENERATED
             col_sums = scores[:, prefill_rows, :].sum(axis=1)
             importance = col_sums.mean(axis=0)[is_image_segment(segs)]
-            merged = pyramid_merge_layer(
-                TokenSequence(hidden, segs, poss), importance,
-                schedule.keep_counts[stage_of[li]],
-            )
+            merged = pyramid_merge_layer(TokenSequence(hidden, segs, poss), importance,
+                                         keep_counts[li])
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
     return (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[-1]
 

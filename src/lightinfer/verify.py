@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .attention import _BLOCK, AttentionWeights, multi_head_attention
-from .kvcache import CacheLayer, CompressionConfig, HeadCache, compress_layer, memory_estimate
+from .kvcache import CompressionConfig, HeadCache, compress_layer, memory_estimate
 from .merge import (
     MergeSchedule,
     Segment,
@@ -132,13 +132,13 @@ def check_cache_decode_equivalence(seeds: int = 10, steps: int = 8) -> CheckResu
                        f"{seeds} seeds x {steps} steps, merging on and off, ids exactly equal")
 
 
-def _single_head_layer(scores: np.ndarray, n_text: int = 2) -> CacheLayer:
+def _single_head_layer(scores: np.ndarray, n_text: int = 2) -> list[HeadCache]:
     n_img = scores.shape[0]
     hc = HeadCache(head_dim=4)
     for i in range(n_img + n_text):
         seg = Segment.IMAGE if i < n_img else Segment.INSTRUCTION
         hc.append(np.zeros(4, np.float32), np.zeros(4, np.float32), i, seg)
-    return CacheLayer([hc])
+    return [hc]
 
 
 def _minimal_coverage_prefix(norm: np.ndarray, beta: float) -> set[int]:
@@ -167,7 +167,7 @@ def check_coverage_minimality(n_vectors: int = 200,
             layer = _single_head_layer(norm)
             compress_layer(layer, [np.concatenate([norm, np.zeros(2)])],
                            CompressionConfig(beta, 0))
-            hc = layer.heads[0]
+            hc = layer[0]
             got = set(int(p) for p in hc.positions[is_image_segment(hc.segments)])
             expect = set(range(n)) if beta >= 1.0 else _minimal_coverage_prefix(norm, beta)
             if got != expect:
@@ -235,7 +235,7 @@ def check_prefill_speedup(runs: int = 5, min_speedup: float = 1.5) -> CheckResul
 
 def _cache_image_entries(cache) -> int:
     return sum(int(is_image_segment(hc.segments).sum())
-               for lc in cache.layers for hc in lc.heads)
+               for heads in cache.layers for hc in heads)
 
 
 def check_long_decode_speedup(n_image: int = 3072, lengths=(256, 2048), reps: int = 3,
@@ -297,7 +297,7 @@ def check_memory_ledger() -> CheckResult:
     pre_c = prefill(model, seq, compressed)
     pre_v = prefill(model, seq, vanilla)
     est = memory_estimate(pre_c.cache)
-    recount = sum(hc.n for lc in pre_c.cache.layers for hc in lc.heads) * 2 * (128 // 4) * 4
+    recount = sum(hc.n for heads in pre_c.cache.layers for hc in heads) * 2 * (128 // 4) * 4
     if est.total != recount:
         return CheckResult("memory_ledger", False,
                            f"memory_estimate {est.total} != recount {recount}")

@@ -40,14 +40,14 @@ def kv(head_dim=4, n_heads=2, fill=0.0):
 def test_append_to_empty_layer():
     cache = make_cache()
     cache.append(0, kv(fill=1.0), kv(fill=2.0), 0, Segment.SYSTEM_PROMPT)
-    assert [hc.n for hc in cache.layers[0].heads] == [1, 1]
+    assert [hc.n for hc in cache.layers[0]] == [1, 1]
 
 
 def test_append_keeps_position_order():
     cache = make_cache()
     cache.append(0, kv(), kv(), 3, Segment.IMAGE)
     cache.append(0, kv(), kv(), 5, Segment.IMAGE)
-    for hc in cache.layers[0].heads:
+    for hc in cache.layers[0]:
         assert hc.positions.tolist() == [3, 5]
 
 
@@ -65,7 +65,7 @@ def test_append_rejects_bad_layer():
 
 def normalized_scores(cache, layer, per_head):
     out = []
-    for h, hc in enumerate(cache.layers[layer].heads):
+    for h, hc in enumerate(cache.layers[layer]):
         s = np.asarray(per_head[h], dtype=np.float64).copy()
         img = np.flatnonzero(is_image_segment(hc.segments))
         s[img] /= s[img].sum()
@@ -75,10 +75,10 @@ def normalized_scores(cache, layer, per_head):
 
 def test_beta_one_is_bit_identical():
     cache = fill_layer(make_cache(), 0, n_image=5, n_text=2)
-    before = [hc.keys.copy() for hc in cache.layers[0].heads]
+    before = [hc.keys.copy() for hc in cache.layers[0]]
     scores = [np.random.default_rng(1).uniform(0.1, 1, 7) for _ in range(2)]
     compress_layer(cache.layers[0], normalized_scores(cache, 0, scores), CompressionConfig(1.0, 0))
-    for hc, ref in zip(cache.layers[0].heads, before):
+    for hc, ref in zip(cache.layers[0], before):
         assert hc.n == 7
         assert np.array_equal(hc.keys, ref)
 
@@ -87,7 +87,7 @@ def test_compress_cumulative_threshold_example():
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=5, n_text=0)
     scores = [np.array([0.5, 0.2, 0.15, 0.1, 0.05])]
     compress_layer(cache.layers[0], scores, CompressionConfig(0.9, 0))
-    hc = cache.layers[0].heads[0]
+    hc = cache.layers[0][0]
     assert hc.n == 4
     assert hc.positions.tolist() == [0, 1, 2, 3]
 
@@ -99,17 +99,17 @@ def test_per_head_independence_uniform_vs_one_hot():
     one_hot = np.zeros(n)
     one_hot[3] = 1.0
     compress_layer(cache.layers[0], [uniform, one_hot], CompressionConfig(0.9, 0))
-    counts = [hc.n for hc in cache.layers[0].heads]
+    counts = [hc.n for hc in cache.layers[0]]
     assert counts[0] == int(np.ceil(0.9 * n))
     assert counts[1] == 1
-    assert cache.layers[0].heads[1].positions.tolist() == [3]
+    assert cache.layers[0][1].positions.tolist() == [3]
 
 
 def test_retained_entries_back_in_position_order():
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=6, n_text=1)
     scores = [np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1, 0.0])]
     compress_layer(cache.layers[0], scores, CompressionConfig(0.7, 0))
-    hc = cache.layers[0].heads[0]
+    hc = cache.layers[0][0]
     pos = hc.positions.tolist()
     assert pos == sorted(pos)
     assert 6 in pos  # text entry survives
@@ -126,12 +126,12 @@ def test_compress_idempotent():
     raw = np.random.default_rng(3).uniform(0.1, 1, 10)
     scores = normalized_scores(cache, 0, [raw])
     compress_layer(cache.layers[0], scores, CompressionConfig(0.6, 0))
-    hc = cache.layers[0].heads[0]
+    hc = cache.layers[0][0]
     first = hc.positions.copy()
     idx = {int(p): s for p, s in zip(np.arange(10), scores[0])}
     again = [np.array([idx[int(p)] for p in hc.positions])]
     compress_layer(cache.layers[0], again, CompressionConfig(0.6, 0))
-    assert np.array_equal(cache.layers[0].heads[0].positions, first)
+    assert np.array_equal(cache.layers[0][0].positions, first)
 
 
 @settings(deadline=None, max_examples=60)
@@ -144,7 +144,7 @@ def test_compress_monotone_in_beta(n, seed):
     for beta in (0.3, 0.6, 0.9, 1.0):
         cache = fill_layer(make_cache(n_heads=1), 0, n_image=n, n_text=0)
         compress_layer(cache.layers[0], [norm], CompressionConfig(beta, 0))
-        kept.append(set(cache.layers[0].heads[0].positions.tolist()))
+        kept.append(set(cache.layers[0][0].positions.tolist()))
     for a, b in zip(kept, kept[1:]):
         assert a <= b
 
@@ -155,7 +155,7 @@ def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=n_image, n_text=n_text, seed=seed)
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, n_image + n_text)
     compress_layer(cache.layers[0], normalized_scores(cache, 0, [raw]), CompressionConfig(beta, 0))
-    hc = cache.layers[0].heads[0]
+    hc = cache.layers[0][0]
     assert int((~is_image_segment(hc.segments)).sum()) == n_text
 
 
@@ -165,15 +165,15 @@ def test_compress_all_respects_start_layer():
         fill_layer(cache, layer, n_image=6, n_text=1, seed=layer)
     scores = [[np.random.default_rng(9).uniform(0.1, 1, 7)] for _ in range(3)]
     compress_all(cache, scores, CompressionConfig(0.5, 1))
-    assert cache.layers[0].heads[0].n == 7
-    assert cache.layers[1].heads[0].n < 7
-    assert cache.layers[2].heads[0].n < 7
+    assert cache.layers[0][0].n == 7
+    assert cache.layers[1][0].n < 7
+    assert cache.layers[2][0].n < 7
 
 
 def test_compress_all_start_at_end_is_noop():
     cache = fill_layer(make_cache(n_layers=1, n_heads=1), 0, n_image=5, n_text=0)
     compress_all(cache, [None], CompressionConfig(0.5, 1))
-    assert cache.layers[0].heads[0].n == 5
+    assert cache.layers[0][0].n == 5
 
 
 def test_compress_all_uniform_scores_same_count_per_layer():
@@ -182,7 +182,7 @@ def test_compress_all_uniform_scores_same_count_per_layer():
         fill_layer(cache, layer, n_image=10, n_text=2, seed=layer)
     scores = [[np.ones(12)] for _ in range(3)]
     compress_all(cache, scores, CompressionConfig(0.5, 0))
-    counts = [lc.heads[0].n for lc in cache.layers]
+    counts = [lc[0].n for lc in cache.layers]
     assert len(set(counts)) == 1
 
 
@@ -194,7 +194,7 @@ def test_compress_all_steeper_scores_retain_fewer():
     base = np.linspace(1.0, 2.0, n)
     scores = [[np.power(base, 8.0 * layer + 1.0)] for layer in range(3)]
     compress_all(cache, scores, CompressionConfig(0.9, 0))
-    counts = [lc.heads[0].n for lc in cache.layers]
+    counts = [lc[0].n for lc in cache.layers]
     assert counts[0] > counts[1] > counts[2]
 
 
@@ -219,7 +219,6 @@ def test_memory_estimate_arithmetic():
                        np.full(10, Segment.IMAGE, dtype=np.int8))
     est = memory_estimate(cache)
     assert est.total == 10 * 2 * 64 * 4 == 5120
-    assert est.per_layer == (5120,)
 
 
 def test_memory_tracks_retained_fraction():
@@ -258,18 +257,18 @@ def test_audit_recorded_only_when_asked():
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
     audit = compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0), audit=True)
     assert len(audit) == 2
-    for (pos, _, retained, _), hc in zip(audit, cache.layers[0].heads):
+    for (pos, _, retained, _), hc in zip(audit, cache.layers[0]):
         assert pos.tolist() == list(range(7))
         assert pos[retained].tolist() == hc.positions.tolist()
 
 
 def test_replace_right_sizes_buffers():
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=40, n_text=3)
-    full = [(hc.keys.copy(), hc.values.copy()) for hc in cache.layers[0].heads]
+    full = [(hc.keys.copy(), hc.values.copy()) for hc in cache.layers[0]]
     rng = np.random.default_rng(5)
     raw = [rng.uniform(0.01, 1.0, 43) ** 4 for _ in range(2)]
     compress_layer(cache.layers[0], normalized_scores(cache, 0, raw), CompressionConfig(0.5, 0))
-    for hc, (keys, values) in zip(cache.layers[0].heads, full):
+    for hc, (keys, values) in zip(cache.layers[0], full):
         assert hc.n < 43
         assert hc.capacity == hc.n
         assert np.array_equal(hc.keys, keys[hc.positions])

@@ -107,7 +107,7 @@ def test_prefill_token_ledger(tiny_model, tiny_seq):
 def test_prefill_cache_matches_compression_ledger(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.25, beta=0.6, start_layer=1))
     for li, lc in enumerate(pre.cache.layers):
-        for hc in lc.heads:
+        for hc in lc:
             n_img = int(((hc.segments == Segment.IMAGE) | (hc.segments == Segment.MERGED_IMAGE)).sum())
             n_text = hc.n - n_img
             assert n_text == 10
@@ -129,8 +129,8 @@ def test_layer_record_on_compressed_prefill(tiny_model, tiny_seq):
         if li < 1:
             assert rec.evictions is None
             continue
-        assert len(rec.evictions) == len(lc.heads)
-        for (pos, _, retained, _), hc in zip(rec.evictions, lc.heads):
+        assert len(rec.evictions) == len(lc)
+        for (pos, _, retained, _), hc in zip(rec.evictions, lc):
             # the audit covers every entry the layer cached: the previous layer's exit
             assert len(pos) == audited.metrics.layers[li - 1].tokens
             assert pos[retained].tolist() == hc.positions.tolist()
@@ -145,13 +145,13 @@ def test_prefill_rejects_empty_and_wrong_dim(tiny_model):
 
 def test_decode_grows_cache_by_one_per_step(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(merging=False, compression=False))
-    before = [hc.n for lc in pre.cache.layers for hc in lc.heads]
+    before = [hc.n for lc in pre.cache.layers for hc in lc]
     logits, cache = decode_step(tiny_model, pre.cache, 7)
-    after = [hc.n for lc in cache.layers for hc in lc.heads]
+    after = [hc.n for lc in cache.layers for hc in lc]
     assert all(b + 1 == a for b, a in zip(before, after))
     assert logits.shape == (64,)
     for lc in cache.layers:
-        assert lc.heads[0].segments[-1] == Segment.GENERATED
+        assert lc[0].segments[-1] == Segment.GENERATED
 
 
 def test_decode_step_requires_populated_cache(tiny_model):
@@ -231,7 +231,7 @@ def prefill_recording_scores(monkeypatch, model, seq, pipe):
 
 def assert_same_cache(a, b):
     for la, lb in zip(a.layers, b.layers):
-        for ha, hb in zip(la.heads, lb.heads):
+        for ha, hb in zip(la, lb):
             assert np.array_equal(ha.positions, hb.positions)
             assert np.array_equal(ha.segments, hb.segments)
             assert ha.keys.tobytes() == hb.keys.tobytes()
@@ -268,7 +268,7 @@ def test_allocated_bytes_bounded_after_prefill_and_decode(tiny_model, tiny_seq, 
         logits, cache = decode_step(tiny_model, cache, tok)
         tok = int(np.argmax(logits))
     est = memory_estimate(cache)
-    heads = [hc for lc in cache.layers for hc in lc.heads]
+    heads = [hc for lc in cache.layers for hc in lc]
     row = 2 * cache.head_dim * 4 + 8 + 1
     one_growth_step = sum((hc.capacity // 8 + 1) * row for hc in heads)
     assert est.allocated <= est.total * 9 / 8 + one_growth_step
