@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Matrix
-
 _BLOCK = 128
 # Entry (i, j) is True when key j comes after query i within one block.
 _FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)
@@ -32,10 +30,10 @@ class AttentionWeights:
     """Packed projections; head h owns columns [h*hd, (h+1)*hd)."""
 
     n_heads: int
-    wq: Matrix
-    wk: Matrix
-    wv: Matrix
-    wo: Matrix
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
 
     def __post_init__(self):
         c = self.wq.shape[0]
@@ -57,19 +55,18 @@ class AttentionWeights:
 
 @dataclass
 class AttentionOutput:
-    context: Matrix                       # (N, C), after output projection
+    context: np.ndarray                   # (N, C), after output projection
     cum_scores: np.ndarray                # (H, N) per-key column sums
-    avg_cum_scores: np.ndarray            # (N,) head average
     keys: np.ndarray                      # (H, N, hd)
     values: np.ndarray                    # (H, N, hd)
 
 
-def _project_heads(hidden: Matrix, w: Matrix, n_heads: int) -> np.ndarray:
+def _project_heads(hidden: np.ndarray, w: np.ndarray, n_heads: int) -> np.ndarray:
     n, c = hidden.shape
     return (hidden @ w).reshape(n, n_heads, c // n_heads).transpose(1, 0, 2)
 
 
-def multi_head_attention(hidden: Matrix, weights: AttentionWeights) -> AttentionOutput:
+def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights) -> AttentionOutput:
     hidden = np.asarray(hidden, dtype=np.float32)
     if hidden.ndim != 2 or hidden.shape[0] < 1:
         raise ValueError(f"hidden must be a nonempty 2-D matrix, got shape {hidden.shape}")
@@ -102,13 +99,7 @@ def multi_head_attention(hidden: Matrix, weights: AttentionWeights) -> Attention
         ctx_heads[:, s:e] = p @ v[:, :e]
 
     context = ctx_heads.transpose(1, 0, 2).reshape(n, h * hd) @ weights.wo
-    return AttentionOutput(
-        context=context,
-        cum_scores=cum,
-        avg_cum_scores=cum.mean(axis=0),
-        keys=k,
-        values=v,
-    )
+    return AttentionOutput(context=context, cum_scores=cum, keys=k, values=v)
 
 
 def attend_single_query(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:

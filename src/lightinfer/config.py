@@ -31,20 +31,18 @@ class InputConfig:
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    merging_enabled: bool = True
-    compression_enabled: bool = True
     merge_layers: tuple[int, ...] = (5, 9, 13)
     keep_ratio: float = 0.35
     beta: float = 0.995
     start_layer: int = 5
 
-    def build(self, merging: Optional[bool] = None, compression: Optional[bool] = None,
+    def build(self, merging: bool = True, compression: bool = True,
               keep_ratio: Optional[float] = None, beta: Optional[float] = None) -> PipelineConfig:
         return PipelineConfig(
             merge_schedule=MergeSchedule(self.merge_layers, keep_ratio if keep_ratio is not None else self.keep_ratio),
             compression=CompressionConfig(beta if beta is not None else self.beta, self.start_layer),
-            merging_enabled=self.merging_enabled if merging is None else merging,
-            compression_enabled=self.compression_enabled if compression is None else compression,
+            merging_enabled=merging,
+            compression_enabled=compression,
         )
 
 
@@ -69,22 +67,11 @@ class EngineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse(kind, raw: str):
-    """Parse one value as the field type `kind`: int, float, bool or tuple[T, ...]."""
+    """Parse one value as the field type `kind`: int, float or tuple[T, ...]."""
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
         return tuple(_parse(item, x) for x in raw.split(",") if x.strip())
-    if kind is bool:
-        return _parse_bool(raw)
     return kind(raw.strip())
 
 
@@ -133,8 +120,9 @@ def load_config(path, seed_override: Optional[int] = None) -> EngineConfig:
 def _check_cross_section(cfg: EngineConfig) -> None:
     """Checks that span sections, so that commands meet only valid settings.
 
-    bench and sweep switch merging and compression on whatever the
-    [pipeline] flags say, so the layer checks do not depend on them.
+    run, analyze and dump-cache run with merging and compression on, and
+    bench and sweep have variants with both on, so the layer checks apply
+    to every config.
     """
     n_layers = cfg.model.n_layers
     p = cfg.pipeline

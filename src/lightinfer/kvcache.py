@@ -42,17 +42,20 @@ class CompressionConfig:
 
 
 class HeadCache:
-    """Append-only K/V store for one head, amortized-growth buffers."""
+    """Append-only K/V store for one head, amortized-growth buffers.
 
-    __slots__ = ("head_dim", "n", "_keys", "_values", "_positions", "_segments")
+    Buffers start with no rows; the first write sizes them to exactly
+    what it brings (prefill's `extend` brings the whole layer).
+    """
 
-    def __init__(self, head_dim: int, capacity: int = 16):
-        self.head_dim = head_dim
+    __slots__ = ("n", "_keys", "_values", "_positions", "_segments")
+
+    def __init__(self, head_dim: int):
         self.n = 0
-        self._keys = np.empty((capacity, head_dim), dtype=np.float32)
-        self._values = np.empty((capacity, head_dim), dtype=np.float32)
-        self._positions = np.empty(capacity, dtype=np.int64)
-        self._segments = np.empty(capacity, dtype=np.int8)
+        self._keys = np.empty((0, head_dim), dtype=np.float32)
+        self._values = np.empty((0, head_dim), dtype=np.float32)
+        self._positions = np.empty(0, dtype=np.int64)
+        self._segments = np.empty(0, dtype=np.int8)
 
     def _grow(self, need: int) -> None:
         cap = self._keys.shape[0]

@@ -14,8 +14,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .numerics import Matrix
-
 
 class Segment(IntEnum):
     SYSTEM_PROMPT = 0
@@ -36,7 +34,7 @@ def is_image_segment(codes: np.ndarray) -> np.ndarray:
 class TokenSequence:
     """Embeddings plus per-token segment labels and original position ids."""
 
-    embeddings: Matrix            # (N, C) float32
+    embeddings: np.ndarray        # (N, C) float32
     segments: np.ndarray          # (N,) int8 Segment codes
     positions: np.ndarray         # (N,) int64 original position ids
 
@@ -167,7 +165,7 @@ def merge_weights(r: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def merge_tokens(merged_rows: Matrix) -> np.ndarray:
+def merge_tokens(merged_rows: np.ndarray) -> np.ndarray:
     """Collapse rows (descending-importance order) into one weighted sum."""
     rows = np.asarray(merged_rows, dtype=np.float32)
     if rows.ndim != 2 or rows.shape[0] == 0:

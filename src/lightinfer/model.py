@@ -2,9 +2,11 @@
 
 Block layout is standard pre-norm: layer_norm -> causal multi-head
 attention -> residual -> layer_norm -> MLP (4x expansion, tanh-GELU) ->
-residual. Image-token merging runs on the post-block hidden states of
-scheduled layers, using the cumulative attention scores computed inside
-that same layer's attention. Cache compression runs on each layer as soon
+residual. LayerNorm has no affine: the weights are drawn, never trained
+or loaded, so its gain and bias would only ever hold ones and zeros.
+Image-token merging runs on the post-block hidden states of scheduled
+layers, using the cumulative attention scores computed inside that same
+layer's attention. Cache compression runs on each layer as soon
 as its attention has cached the layer's entries, from that layer's own
 prefill-time per-head cumulative scores, so the full-size cache of every
 layer is never held at once. Entries appended during decode are never
@@ -41,7 +43,6 @@ from .merge import (
     partition_tokens,  # noqa: F401
     pyramid_merge_layer,
 )
-from .numerics import Matrix, layer_norm
 
 
 @dataclass(frozen=True)
@@ -92,29 +93,23 @@ class RunMetrics:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
     attn: AttentionWeights
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-    w1: Matrix
+    w1: np.ndarray
     b1: np.ndarray
-    w2: Matrix
+    w2: np.ndarray
     b2: np.ndarray
 
 
 @dataclass(frozen=True)
 class Model:
     config: ModelConfig
-    embed: Matrix            # (vocab, dim) token embeddings for decode
+    embed: np.ndarray        # (vocab, dim) token embeddings for decode
     layers: tuple[LayerWeights, ...]
-    final_g: np.ndarray
-    final_b: np.ndarray
-    w_out: Matrix            # (dim, vocab)
+    w_out: np.ndarray        # (dim, vocab)
 
 
 def init_model(config: ModelConfig) -> Model:
-    """Seeded uniform [-0.05, 0.05] projections; norm affines start at identity."""
+    """Seeded uniform [-0.05, 0.05] embeddings, projections and biases."""
     rng = np.random.default_rng(config.seed)
     c = config.dim
 
@@ -126,11 +121,7 @@ def init_model(config: ModelConfig) -> Model:
     for _ in range(config.n_layers):
         layers.append(
             LayerWeights(
-                ln1_g=np.ones(c, dtype=np.float32),
-                ln1_b=np.zeros(c, dtype=np.float32),
                 attn=AttentionWeights(config.n_heads, draw(c, c), draw(c, c), draw(c, c), draw(c, c)),
-                ln2_g=np.ones(c, dtype=np.float32),
-                ln2_b=np.zeros(c, dtype=np.float32),
                 w1=draw(c, 4 * c),
                 b1=draw(4 * c),
                 w2=draw(4 * c, c),
@@ -138,14 +129,7 @@ def init_model(config: ModelConfig) -> Model:
             )
         )
     w_out = draw(c, config.vocab)
-    return Model(
-        config=config,
-        embed=embed,
-        layers=tuple(layers),
-        final_g=np.ones(c, dtype=np.float32),
-        final_b=np.zeros(c, dtype=np.float32),
-        w_out=w_out,
-    )
+    return Model(config=config, embed=embed, layers=tuple(layers), w_out=w_out)
 
 
 def build_input(n_system: int, n_image: int, n_instruction: int,
@@ -207,7 +191,19 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mlp(x: Matrix, lw: LayerWeights) -> Matrix:
+def layer_norm(x: np.ndarray) -> np.ndarray:
+    """Per-row normalization to mean 0 / variance 1, eps 1e-5.
+
+    Bit-identical to (x - mean) / sqrt(x.var() + eps): the same float32
+    operations in the same order, with the mean and the centred copy
+    computed once and the divide run in place.
+    """
+    out = x - x.mean(axis=1, keepdims=True)
+    out /= np.sqrt(np.square(out).mean(axis=1, keepdims=True) + np.float32(1e-5))
+    return out
+
+
+def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     a = x @ lw.w1
     a += lw.b1
     out = _gelu(a) @ lw.w2
@@ -260,19 +256,19 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     metrics = RunMetrics()
 
     for li, lw in enumerate(model.layers):
-        x = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
+        x = layer_norm(hidden)
         att = multi_head_attention(x, lw.attn)
         cache.extend_layer(li, att.keys, att.values, poss, segs)
-        cum, avg = att.cum_scores, att.avg_cum_scores
+        cum = att.cum_scores
         hidden = hidden + att.context
         del x, att  # only the scores are needed past this point
         evictions = None
         if compression is not None and li >= compression.start_layer:
             evictions = normalize_and_compress(cache.layers[li], cum, compression, audit)
-        hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
+        hidden = hidden + _mlp(layer_norm(hidden), lw)
 
         img_mask = is_image_segment(segs)
-        importance = avg[img_mask]
+        importance = cum.mean(axis=0)[img_mask]
         kept = None
         if li in keep_counts:
             cur = TokenSequence(hidden, segs, poss)
@@ -286,7 +282,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
                                           sum(hc.n for hc in cache.layers[li]), importance, kept,
                                           evictions))
 
-    logits = (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[-1]
+    logits = (layer_norm(hidden) @ model.w_out)[-1]
     metrics.prefill_ms = (time.perf_counter() - t0) * 1e3
     _record_memory(metrics, cache)
     return PrefillResult(logits, cache, metrics)
@@ -312,7 +308,7 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
     hidden = model.embed[token_id][None, :].copy()
 
     for li, lw in enumerate(model.layers):
-        x = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
+        x = layer_norm(hidden)
         q = (x @ lw.attn.wq).reshape(h_count, hd)
         k = (x @ lw.attn.wk).reshape(h_count, hd)
         v = (x @ lw.attn.wv).reshape(h_count, hd)
@@ -321,9 +317,9 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
         for hi, hc in enumerate(cache.layers[li]):
             ctx[hi] = attend_single_query(q[hi], hc.keys, hc.values)
         hidden = hidden + ctx.reshape(1, cfg.dim) @ lw.attn.wo
-        hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
+        hidden = hidden + _mlp(layer_norm(hidden), lw)
 
-    logits = (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[0]
+    logits = (layer_norm(hidden) @ model.w_out)[0]
     return logits, cache
 
 

@@ -13,8 +13,7 @@ import numpy as np
 
 from .attention import AttentionWeights
 from .merge import Segment, TokenSequence, is_image_segment, pyramid_merge_layer
-from .model import Model, PipelineConfig, _mlp
-from .numerics import layer_norm
+from .model import Model, PipelineConfig, _mlp, layer_norm
 
 
 def naive_weighted_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
@@ -72,10 +71,10 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
 
     hidden, segs, poss = seq.embeddings, seq.segments, seq.positions
     for li, lw in enumerate(model.layers):
-        x = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
+        x = layer_norm(hidden)
         context, _, scores = full_attention(x, lw.attn)
         hidden = hidden + context
-        hidden = hidden + _mlp(layer_norm(hidden, lw.ln2_g, lw.ln2_b), lw)
+        hidden = hidden + _mlp(layer_norm(hidden), lw)
         if li in keep_counts:
             prefill_rows = segs != Segment.GENERATED
             col_sums = scores[:, prefill_rows, :].sum(axis=1)
@@ -83,7 +82,7 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
             merged = pyramid_merge_layer(TokenSequence(hidden, segs, poss), importance,
                                          keep_counts[li])
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
-    return (layer_norm(hidden, model.final_g, model.final_b) @ model.w_out)[-1]
+    return (layer_norm(hidden) @ model.w_out)[-1]
 
 
 def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineConfig,

@@ -353,7 +353,8 @@ def check_attention_mode_equivalence(n_inputs: int = 50, tol: float = 1e-5) -> C
         ref_context, ref_cum, _ = full_attention(hidden, w)
         got = multi_head_attention(hidden, w)
         worst_ctx = max(worst_ctx, float(np.abs(ref_context - got.context).max()))
-        worst_cum = max(worst_cum, float(np.abs(ref_cum.mean(axis=0) - got.avg_cum_scores).max()))
+        worst_cum = max(worst_cum,
+                        float(np.abs(ref_cum.mean(axis=0) - got.cum_scores.mean(axis=0)).max()))
     ok = worst_ctx <= tol and worst_cum <= tol
     return CheckResult("attention_mode_equivalence", ok,
                        f"{len(sizes)} inputs (N from {min(sizes)} to {max(sizes)}, block {_BLOCK}), "

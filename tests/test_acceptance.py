@@ -2,8 +2,11 @@
 
 Each test runs one verify-module check at its full stated scale and
 prints one PASS/FAIL line (visible with `pytest -s` or via
-`lightinfer verify --full`). The two timing checks take minutes.
+`lightinfer verify --full`). The two timing checks take minutes and are
+marked `slow`.
 """
+
+import pytest
 
 from lightinfer import verify
 
@@ -45,9 +48,11 @@ def test_attention_mode_equivalence_50_inputs():
     report(verify.check_attention_mode_equivalence(n_inputs=50))
 
 
+@pytest.mark.slow
 def test_prefill_speedup_direction():
     report(verify.check_prefill_speedup(runs=5, min_speedup=1.5))
 
 
+@pytest.mark.slow
 def test_long_decode_speedup_direction():
     report(verify.check_long_decode_speedup(min_speedup=1.3))

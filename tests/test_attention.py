@@ -19,7 +19,7 @@ def random_hidden(n, dim=32, seed=0):
 def test_single_token_cumulative_score_is_one():
     out = multi_head_attention(random_hidden(1), random_weights())
     assert np.allclose(out.cum_scores, 1.0, atol=1e-6)
-    assert out.avg_cum_scores.shape == (1,)
+    assert out.cum_scores.mean(axis=0).shape == (1,)
 
 
 @pytest.mark.parametrize("n", [1, 5, 16, 33])
@@ -47,7 +47,7 @@ def test_mode_equivalence_context_and_scores(n):
     ref_context, ref_cum, _ = full_attention(hidden, w)
     out = multi_head_attention(hidden, w)
     assert np.abs(ref_context - out.context).max() < 1e-5
-    assert np.abs(ref_cum.mean(axis=0) - out.avg_cum_scores).max() < 1e-5
+    assert np.abs(ref_cum.mean(axis=0) - out.cum_scores.mean(axis=0)).max() < 1e-5
 
 
 def test_full_scores_rows_stochastic_and_causal():
@@ -85,7 +85,7 @@ def test_head_permutation_equivariance():
     a = multi_head_attention(hidden, w)
     b = multi_head_attention(hidden, w_p)
     assert np.abs(a.cum_scores[perm] - b.cum_scores).max() < 1e-6
-    assert np.abs(a.avg_cum_scores - b.avg_cum_scores).max() < 1e-6
+    assert np.abs(a.cum_scores.mean(axis=0) - b.cum_scores.mean(axis=0)).max() < 1e-6
 
 
 def test_head_count_must_divide_dim():

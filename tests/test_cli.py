@@ -8,6 +8,7 @@ from lightinfer import bench as bench_mod
 from lightinfer import cli
 from lightinfer import verify as verify_mod
 from lightinfer.config import EngineConfig, load_config
+from lightinfer.model import generate, init_model
 from lightinfer.verify import CheckResult
 
 BASE_CONFIG = """
@@ -26,8 +27,6 @@ redundancy=0.5
 seed=1
 
 [pipeline]
-merging_enabled={merging}
-compression_enabled={compression}
 merge_layers=1,2,3
 keep_ratio={keep_ratio}
 beta={beta}
@@ -42,11 +41,9 @@ seeds=3
 """
 
 
-def write_config(tmp_path, name="cfg.ini", merging="true", compression="true",
-                 keep_ratio="0.25", beta="0.9"):
+def write_config(tmp_path, name="cfg.ini", keep_ratio="0.25", beta="0.9"):
     path = tmp_path / name
-    path.write_text(BASE_CONFIG.format(merging=merging, compression=compression,
-                                       keep_ratio=keep_ratio, beta=beta))
+    path.write_text(BASE_CONFIG.format(keep_ratio=keep_ratio, beta=beta))
     return str(path)
 
 
@@ -67,12 +64,12 @@ def test_run_smoke(tmp_path, capsys):
 
 def test_run_identity_matches_vanilla(tmp_path, capsys):
     cfg_id = write_config(tmp_path, "id.ini", keep_ratio="1.0", beta="1.0")
-    cfg_off = write_config(tmp_path, "off.ini", merging="false", compression="false")
     assert cli.main(["run", "--config", cfg_id]) == 0
     ids_a = output_tokens_line(capsys.readouterr().out)
-    assert cli.main(["run", "--config", cfg_off]) == 0
-    ids_b = output_tokens_line(capsys.readouterr().out)
-    assert ids_a == ids_b
+    cfg = load_config(cfg_id)
+    ids_b, _ = generate(init_model(cfg.model), bench_mod._build_seq(cfg),
+                        cfg.pipeline.build(merging=False, compression=False), cfg.bench.max_new)
+    assert ids_a == "output_tokens=" + " ".join(map(str, ids_b))
 
 
 def test_run_merged_layer_ledger_shrinks(tmp_path, capsys):
@@ -98,6 +95,15 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     bad.write_text("[pipeline]\nbogus_knob=3\n")
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert "bogus_knob" in capsys.readouterr().err
+
+
+def test_removed_pipeline_flag_exits_2_and_names_key(tmp_path, capsys):
+    # merging and compression are switched per command, not per config
+    path = tmp_path / "flag.ini"
+    path.write_text(BASE_CONFIG.format(keep_ratio="0.25", beta="0.9")
+                    .replace("[pipeline]\n", "[pipeline]\nmerging_enabled=true\n"))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "unknown key in [pipeline]: merging_enabled" in capsys.readouterr().err
 
 
 def test_bad_value_exits_2_and_names_key(tmp_path, capsys):
@@ -142,8 +148,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 def test_merge_layer_beyond_model_exits_2_and_names_key(tmp_path, capsys):
     path = tmp_path / "deep.ini"
-    path.write_text(BASE_CONFIG.format(merging="false", compression="true",
-                                       keep_ratio="0.25", beta="0.9")
+    path.write_text(BASE_CONFIG.format(keep_ratio="0.25", beta="0.9")
                     .replace("merge_layers=1,2,3", "merge_layers=1,2,4"))
     assert cli.main(["run", "--config", str(path)]) == 2
     assert "merge_layers" in capsys.readouterr().err

@@ -277,10 +277,12 @@ def test_replace_right_sizes_buffers():
 
 
 def test_grow_adds_an_eighth_of_capacity():
-    hc = HeadCache(head_dim=4, capacity=64)
+    hc = HeadCache(head_dim=4)
+    hc.extend(np.zeros((64, 4), np.float32), np.zeros((64, 4), np.float32),
+              np.arange(64), np.full(64, Segment.GENERATED, dtype=np.int8))
+    assert hc.capacity == 64
     zeros = np.zeros(4, dtype=np.float32)
-    for i in range(65):
-        hc.append(zeros, zeros, i, Segment.GENERATED)
+    hc.append(zeros, zeros, 64, Segment.GENERATED)
     assert hc.capacity == 64 + 64 // _GROWTH_DIV
     assert hc.positions.tolist() == list(range(65))
     # a bulk extend beyond one growth step gets exactly what it needs

@@ -12,7 +12,7 @@ from lightinfer import (
 )
 import lightinfer.model as model_mod
 from lightinfer.kvcache import compress_all, memory_estimate
-from lightinfer.model import _gelu
+from lightinfer.model import _gelu, layer_norm
 from lightinfer.oracle import _forward_no_cache
 
 from conftest import pipeline
@@ -193,6 +193,60 @@ def test_gelu_bit_identical_to_literal_expression(shape):
     c1 = np.float32(0.044715)
     expect = np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c0 * (x + c1 * x * x * x)))
     assert np.array_equal(_gelu(x.copy()), expect)
+
+
+def test_layer_norm_constant_row_is_zero():
+    out = layer_norm(np.full((1, 4), 3.0, dtype=np.float32))
+    assert np.allclose(out, 0.0, atol=1e-4)
+
+
+def test_layer_norm_already_normalized():
+    x = np.array([[1.0, -1.0]], dtype=np.float32)
+    assert np.allclose(layer_norm(x), x, atol=1e-4)
+
+
+def test_layer_norm_statistics_recomputed():
+    x = np.random.default_rng(3).uniform(-5, 5, (4, 64)).astype(np.float32)
+    out = layer_norm(x)
+    assert np.abs(out.mean(axis=1)).max() < 1e-5
+    assert np.abs(out.var(axis=1) - 1.0).max() < 1e-3
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+# decode (1 row) and default-config prefill (1556 rows) widths, C=256
+@pytest.mark.parametrize("shape", [(1, 256), (1556, 256)])
+def test_layer_norm_bit_identical_to_literal_expression(shape):
+    x = (3.0 * np.random.default_rng(shape[0]).standard_normal(shape) + 1.0).astype(np.float32)
+    mean = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    expect = (x - mean) / np.sqrt(var + np.float32(1e-5))
+    before = x.copy()
+    assert np.array_equal(bits(layer_norm(x)), bits(expect))
+    assert np.array_equal(x, before)
+
+
+def test_layer_norm_equals_identity_affine_form():
+    # An identity affine (`*= ones`, `+= zeros`) appended to the norm must not
+    # change a bit. Rows 0-2 hold entries equal to their row mean, where
+    # x - mean is zero: `+= 0.0` would turn a -0.0 there into +0.0.
+    rng = np.random.default_rng(4)
+    x = (3.0 * rng.standard_normal((6, 256)) + 1.0).astype(np.float32)
+    x[0] = np.tile(np.float32([1.0, 2.0, 3.0, 2.0]), 64)
+    x[1, :128], x[1, 128:] = -0.5, 0.5
+    x[1, ::16] = 0.0
+    x[2] = 7.0
+    assert (x[0] == x[0].mean()).sum() == 128
+    mean = x.mean(axis=1, keepdims=True)
+    affine = x - mean
+    affine /= np.sqrt(np.square(affine).mean(axis=1, keepdims=True) + np.float32(1e-5))
+    affine *= np.ones(256, np.float32)
+    affine += np.zeros(256, np.float32)
+    out = layer_norm(x)
+    assert (out == 0.0).sum() >= 128 + 16 + 256
+    assert np.array_equal(bits(out), bits(affine))
 
 
 def test_prefill_logits_match_full_attention_oracle(tiny_model, tiny_seq):
