@@ -13,10 +13,6 @@ from .model import (
     init_model,
     prefill,
 )
-from .oracle import (
-    attention_mass_curve,
-    full_recompute_decode,
-    naive_weighted_merge,
-)
+from .oracle import full_recompute_decode, naive_weighted_merge
 
 __version__ = "0.1.0"

@@ -2,23 +2,24 @@
 
 All timings come from the monotonic clock inside generate(); bench rows
 are medians over 5 repetitions after one discarded warm-up run, for each
-of the four variants. CSVs carry a config-hash comment line so identical
-configs are comparable.
+of the four variants. CSVs carry a config-hash comment line over the
+settings the command reads, so runs of identical settings are comparable.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .config import EngineConfig
+from .kvcache import coverage_prefix
 from .merge import Segment
 from .model import Model, PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
-from .oracle import attention_mass_curve
 
 # bench variant -> (merging_enabled, compression_enabled); vanilla first,
 # since every other row's speedup is against it
@@ -58,8 +59,9 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
     model = init_model(cfg.model)
     seq = _build_seq(cfg)
     ids, m = generate(model, seq, cfg.pipeline.build(), cfg.bench.max_new)
+    cfg_hash = cfg.hash(("max_new",))
 
-    print(f"config_hash={cfg.hash()} model_seed={cfg.model.seed} input_seed={cfg.input.seed}")
+    print(f"config_hash={cfg_hash} model_seed={cfg.model.seed} input_seed={cfg.input.seed}")
     print(f"prefill_ms={m.prefill_ms:.3f}")
     dec = m.decode_ms_per_token
     print(f"decode_ms_per_token mean={statistics.mean(dec):.3f} "
@@ -75,7 +77,7 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
 
     if out:
         _write_csv(out, ["layer", "tokens", "image_tokens", "text_tokens", "cache_entries"],
-                   rows, cfg.hash(),
+                   rows, cfg_hash,
                    comment=f"prefill_ms={m.prefill_ms:.3f} memory_bytes={m.memory_bytes} "
                            f"allocated_bytes={m.allocated_bytes}")
     return m
@@ -115,14 +117,13 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
             print(" ".join(str(x) for x in rows[-1]))
 
     if out:
-        _write_csv(out, header, rows, cfg.hash(), comment=f"repetitions={_REPETITIONS}")
+        _write_csv(out, header, rows, cfg.hash(("lengths",)), comment=f"repetitions={_REPETITIONS}")
     return rows
 
 
 def _sweep_cell(cfg: EngineConfig, model: Model, keep_ratio: float, beta: float,
                 vanilla_ids: list[list[int]]) -> list:
-    pipeline = cfg.pipeline.build(merging=True, compression=True,
-                                  keep_ratio=keep_ratio, beta=beta)
+    pipeline = replace(cfg.pipeline, keep_ratio=keep_ratio, beta=beta).build()
     drifts, prefills, totals, decmeans, memories = [], [], [], [], []
     for i in range(cfg.bench.seeds):
         seq = _build_seq(cfg, seed=cfg.input.seed + i)
@@ -159,7 +160,8 @@ def do_sweep(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
     for row in rows:
         print(" ".join(str(x) for x in row))
     if out:
-        _write_csv(out, header, rows, cfg.hash(), comment=f"seeds={bench.seeds}")
+        _write_csv(out, header, rows, cfg.hash(("max_new", "keep_ratios", "betas", "seeds")),
+                   comment=f"seeds={bench.seeds}")
     return rows
 
 
@@ -175,12 +177,15 @@ def do_analyze(cfg: EngineConfig, out: Optional[str] = None) -> tuple[list[list]
 
     curve_rows = []
     for li, rec in enumerate(pre.metrics.layers):
-        scores = rec.importance
-        if scores.size == 0:
+        n = rec.importance.size
+        if n == 0:
             continue
-        ks = attention_mass_curve(scores, _THRESHOLDS)
-        for t, k in zip(_THRESHOLDS, ks):
-            curve_rows.append([li, _fmt(t), k, scores.size, f"{k / scores.size:.4f}"])
+        scores = rec.importance.astype(np.float64)
+        norm = scores / scores.sum()
+        for t in _THRESHOLDS:
+            # the rule compression applies to one head's image entries
+            k = coverage_prefix(norm, np.arange(n), t).size
+            curve_rows.append([li, _fmt(t), k, n, f"{k / n:.4f}"])
 
     original_image_positions = seq.positions[seq.segments == Segment.IMAGE]
     mask_rows = []

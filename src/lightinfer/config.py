@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, get_args, get_origin, get_type_hints
 
 from .kvcache import CompressionConfig
@@ -36,11 +36,10 @@ class PipelineSettings:
     beta: float = 0.995
     start_layer: int = 5
 
-    def build(self, merging: bool = True, compression: bool = True,
-              keep_ratio: Optional[float] = None, beta: Optional[float] = None) -> PipelineConfig:
+    def build(self, merging: bool = True, compression: bool = True) -> PipelineConfig:
         return PipelineConfig(
-            merge_schedule=MergeSchedule(self.merge_layers, keep_ratio if keep_ratio is not None else self.keep_ratio),
-            compression=CompressionConfig(beta if beta is not None else self.beta, self.start_layer),
+            merge_schedule=MergeSchedule(self.merge_layers, self.keep_ratio),
+            compression=CompressionConfig(self.beta, self.start_layer),
             merging_enabled=merging,
             compression_enabled=compression,
         )
@@ -62,8 +61,10 @@ class EngineConfig:
     pipeline: PipelineSettings = PipelineSettings()
     bench: BenchSettings = BenchSettings()
 
-    def hash(self) -> str:
-        blob = repr((asdict(self.model), asdict(self.input), asdict(self.pipeline), asdict(self.bench)))
+    def hash(self, bench_keys: tuple[str, ...] = ()) -> str:
+        """Digest of [model], [input], [pipeline] and the [bench] keys a command reads."""
+        bench = {key: getattr(self.bench, key) for key in bench_keys}
+        blob = repr((asdict(self.model), asdict(self.input), asdict(self.pipeline), bench))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -140,7 +141,7 @@ def _check_cross_section(cfg: EngineConfig) -> None:
     trials += [("[bench] betas", {"beta": b}) for b in cfg.bench.betas]
     for where, overrides in trials:
         try:
-            schedule = p.build(**overrides).merge_schedule
+            schedule = replace(p, **overrides).build().merge_schedule
             if cfg.input.n_image > 0:
                 schedule.keep_counts(cfg.input.n_image)
         except ValueError as e:

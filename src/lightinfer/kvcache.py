@@ -1,9 +1,10 @@
 """Per-layer, per-head KV storage and coverage-threshold compression.
 
 Compression keeps, per head, the shortest descending-score prefix of
-image entries whose accumulated (caller-normalized) attention mass
-reaches beta; everything else image-kind is evicted. Text entries are
-never evicted. Retained entries go back in original-position order.
+image entries whose attention mass, normalized over the head's image
+entries, reaches beta (`coverage_prefix`); everything else image-kind is
+evicted. Text entries are never evicted. Retained entries go back in
+original-position order.
 
 Eviction frees memory: the kept rows are copied into new buffers sized
 to exactly the kept count, and the old buffers are released. Appends
@@ -176,33 +177,41 @@ class KVCache:
         return [sum(hc.n for hc in heads) for heads in self.layers]
 
 
-def _retained_image_indices(scores: np.ndarray, image_idx: np.ndarray, beta: float) -> np.ndarray:
-    """Minimal descending-score prefix of image entries with mass >= beta.
+def coverage_prefix(scores: np.ndarray, candidates: np.ndarray, beta: float) -> np.ndarray:
+    """Shortest descending-score prefix of `candidates` whose scores sum to >= beta.
 
-    Scores are expected to be normalized by the caller over the head's
-    image entries; thresholding raw cumulative sums against beta is what
-    makes recompression with the same scores a no-op.
+    `scores` are float64 and normalized over the candidates, so beta reads
+    as a fraction of their mass. Ties rank the lower index first. The
+    kept indices come back in ascending order; all of them if the
+    candidates' mass never reaches beta.
     """
-    s = scores[image_idx].astype(np.float64)
-    order = np.lexsort((image_idx, -s))
+    s = scores[candidates]
+    order = np.lexsort((candidates, -s))
     cum = np.cumsum(s[order])
     hit = np.flatnonzero(cum >= beta)
     k = int(hit[0]) + 1 if hit.size else order.shape[0]
-    return image_idx[np.sort(order[:k])]
+    return candidates[np.sort(order[:k])]
 
 
-def compress_layer(heads: list[HeadCache], per_head_scores: Sequence[np.ndarray],
+def compress_layer(heads: list[HeadCache], raw_scores: Sequence[np.ndarray],
                    config: CompressionConfig, audit: bool = False) -> Optional[list[HeadAudit]]:
     """Compress one layer's heads in place, each independently.
 
+    `raw_scores[h]` holds one nonnegative score per entry of head h. Each
+    head's image-entry scores are normalized to sum to 1 (uniform if they
+    sum to 0), so beta reads as a fraction of the head's image attention
+    mass; the head then keeps its `coverage_prefix` of image entries and
+    every other entry.
+
     With `audit`, returns each head's positions, segments, retained flags
-    and scores over the entries present before eviction; otherwise None.
+    and normalized scores over the entries present before eviction;
+    otherwise None.
     """
-    if len(per_head_scores) != len(heads):
-        raise ValueError(f"{len(per_head_scores)} score vectors for {len(heads)} heads")
+    if len(raw_scores) != len(heads):
+        raise ValueError(f"{len(raw_scores)} score vectors for {len(heads)} heads")
     records = [] if audit else None
     for h, hc in enumerate(heads):
-        scores = np.asarray(per_head_scores[h], dtype=np.float64).reshape(-1)
+        scores = np.array(raw_scores[h], dtype=np.float64).reshape(-1)
         if scores.shape[0] != hc.n:
             raise ValueError(
                 f"head {h}: {scores.shape[0]} scores for {hc.n} cache entries"
@@ -210,41 +219,24 @@ def compress_layer(heads: list[HeadCache], per_head_scores: Sequence[np.ndarray]
         if scores.size and scores.min() < 0:
             raise ValueError(f"head {h}: scores must be nonnegative")
         img = np.flatnonzero(is_image_segment(hc.segments))
+        mass = scores[img].sum()
+        if img.size and mass > 0:
+            scores[img] /= mass
+        elif img.size:
+            scores[img] = 1.0 / img.size
         if config.beta >= 1.0 or img.size == 0:
             keep_img = img
         else:
-            keep_img = _retained_image_indices(scores, img, config.beta)
+            keep_img = coverage_prefix(scores, img, config.beta)
         retained = np.ones(hc.n, dtype=bool)
         retained[img] = False
         retained[keep_img] = True
         if audit:
-            records.append((hc.positions.copy(), hc.segments.copy(), retained, scores.copy()))
+            records.append((hc.positions.copy(), hc.segments.copy(), retained, scores))
         if retained.all():
             continue
         hc.replace(np.flatnonzero(retained))
     return records
-
-
-def normalize_and_compress(heads: list[HeadCache], raw_scores: Sequence[np.ndarray],
-                           config: CompressionConfig,
-                           audit: bool = False) -> Optional[list[HeadAudit]]:
-    """Compress one layer from raw per-head scores, one per cache entry.
-
-    Each head's image-entry scores are normalized to sum to 1 first, so
-    beta reads as a fraction of the head's image attention mass. Returns
-    the audit of `compress_layer`.
-    """
-    normalized = []
-    for h, hc in enumerate(heads):
-        s = np.asarray(raw_scores[h], dtype=np.float64).reshape(-1).copy()
-        img = np.flatnonzero(is_image_segment(hc.segments))
-        mass = s[img].sum()
-        if img.size and mass > 0:
-            s[img] /= mass
-        elif img.size:
-            s[img] = 1.0 / img.size
-        normalized.append(s)
-    return compress_layer(heads, normalized, config, audit)
 
 
 def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]],
@@ -252,14 +244,14 @@ def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]
     """Compress every layer >= start_layer with one shared beta.
 
     scores[layer][head] gives one raw score per cache entry; see
-    `normalize_and_compress`.
+    `compress_layer`.
     """
     if len(scores) < cache.n_layers:
         raise ValueError(f"scores cover {len(scores)} layers, cache has {cache.n_layers}")
     for layer in range(config.start_layer, cache.n_layers):
         if scores[layer] is None:
             raise ValueError(f"missing scores for layer {layer} (start_layer {config.start_layer})")
-        normalize_and_compress(cache.layers[layer], scores[layer], config)
+        compress_layer(cache.layers[layer], scores[layer], config)
     return cache
 
 

@@ -32,8 +32,8 @@ from .kvcache import (
     HeadAudit,
     KVCache,
     compress_all,  # noqa: F401
+    compress_layer,
     memory_estimate,
-    normalize_and_compress,
 )
 from .merge import (
     MergeSchedule,
@@ -264,7 +264,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         del x, att  # only the scores are needed past this point
         evictions = None
         if compression is not None and li >= compression.start_layer:
-            evictions = normalize_and_compress(cache.layers[li], cum, compression, audit)
+            evictions = compress_layer(cache.layers[li], cum, compression, audit)
         hidden = hidden + _mlp(layer_norm(hidden), lw)
 
         img_mask = is_image_segment(segs)

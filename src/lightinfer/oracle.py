@@ -109,20 +109,3 @@ def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineCo
         logits = _forward_no_cache(model, cur, pipeline)
     return ids
 
-
-def attention_mass_curve(scores: np.ndarray, thresholds: Sequence[float]) -> list[int]:
-    """For each threshold t: the minimum k such that the top-k normalized
-    scores sum to at least t."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if s.size == 0 or s.min() < 0 or s.max() <= 0:
-        raise ValueError("scores must be nonnegative and not all zero")
-    cum = np.cumsum(np.sort(s)[::-1])
-    total = cum[-1]
-    out = []
-    for t in thresholds:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {t}")
-        # tiny relative slack so exact-fraction cases are not lost to rounding
-        hit = np.flatnonzero(cum >= t * total * (1.0 - 1e-12))
-        out.append(int(hit[0]) + 1 if hit.size else s.size)
-    return out

@@ -1,14 +1,18 @@
 import csv
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from lightinfer import bench as bench_mod
 from lightinfer import cli
 from lightinfer import verify as verify_mod
 from lightinfer.config import EngineConfig, load_config
-from lightinfer.model import generate, init_model
+from lightinfer.kvcache import CompressionConfig, HeadCache, compress_layer
+from lightinfer.merge import Segment
+from lightinfer.model import LayerRecord, generate, init_model
 from lightinfer.verify import CheckResult
 
 BASE_CONFIG = """
@@ -240,6 +244,46 @@ def test_analyze_outputs_curves_and_nested_masks(tmp_path):
         for row in mask_rows
     ]
     assert kept[2] <= kept[1] <= kept[0]
+
+
+def test_analyze_k_counts_ties_as_compression_keeps(tmp_path, monkeypatch):
+    # ten equal scores: nine of them sum to 0.8999..., so coverage of 0.90 takes all ten
+    importance = np.ones(10, dtype=np.float32)
+    heads = [HeadCache(head_dim=1)]
+    heads[0].extend(np.zeros((10, 1), np.float32), np.zeros((10, 1), np.float32),
+                    np.arange(10), np.full(10, Segment.IMAGE, dtype=np.int8))
+    compress_layer(heads, [importance], CompressionConfig(0.90, 0))
+    record = LayerRecord(tokens=10, image_tokens=10, cache_entries=10, importance=importance)
+    fake = SimpleNamespace(metrics=SimpleNamespace(layers=[record]))
+    monkeypatch.setattr(bench_mod, "prefill", lambda *args, **kwargs: fake)
+    curve, _ = bench_mod.do_analyze(load_config(write_config(tmp_path)))
+    assert [row[2] for row in curve if row[1] == "0.9000"] == [heads[0].n] == [10]
+
+
+def read_hash(path) -> str:
+    first = Path(path).read_text().splitlines()[0]
+    return first.removeprefix("# config_hash=").split()[0]
+
+
+def test_config_hash_covers_only_bench_keys_the_command_reads(tmp_path):
+    base = write_config(tmp_path, "base.ini")
+    text = Path(base).read_text()
+    variants = {"base": base}
+    for name, old, new in (("lengths", "lengths=3,6", "lengths=3,5"),
+                           ("max_new", "max_new=6", "max_new=5")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text.replace(old, new))
+        variants[name] = str(path)
+    hashes = {}
+    for name, cfg in variants.items():
+        for cmd in ("run", "analyze"):
+            out = tmp_path / f"{cmd}_{name}.csv"
+            assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 0
+            hashes[(cmd, name)] = read_hash(out)
+    assert hashes[("run", "lengths")] == hashes[("run", "base")]
+    assert hashes[("analyze", "lengths")] == hashes[("analyze", "base")]
+    assert hashes[("run", "max_new")] != hashes[("run", "base")]
+    assert hashes[("analyze", "max_new")] == hashes[("analyze", "base")]
 
 
 def test_dump_cache_snapshot(tmp_path):

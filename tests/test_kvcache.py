@@ -14,7 +14,6 @@ from lightinfer.kvcache import (
     compress_layer,
     dump_snapshot,
     memory_estimate,
-    normalize_and_compress,
 )
 from lightinfer.merge import Segment, is_image_segment
 
@@ -63,21 +62,11 @@ def test_append_rejects_bad_layer():
         make_cache().append(3, kv(), kv(), 0, Segment.IMAGE)
 
 
-def normalized_scores(cache, layer, per_head):
-    out = []
-    for h, hc in enumerate(cache.layers[layer]):
-        s = np.asarray(per_head[h], dtype=np.float64).copy()
-        img = np.flatnonzero(is_image_segment(hc.segments))
-        s[img] /= s[img].sum()
-        out.append(s)
-    return out
-
-
 def test_beta_one_is_bit_identical():
     cache = fill_layer(make_cache(), 0, n_image=5, n_text=2)
     before = [hc.keys.copy() for hc in cache.layers[0]]
     scores = [np.random.default_rng(1).uniform(0.1, 1, 7) for _ in range(2)]
-    compress_layer(cache.layers[0], normalized_scores(cache, 0, scores), CompressionConfig(1.0, 0))
+    compress_layer(cache.layers[0], scores, CompressionConfig(1.0, 0))
     for hc, ref in zip(cache.layers[0], before):
         assert hc.n == 7
         assert np.array_equal(hc.keys, ref)
@@ -121,17 +110,22 @@ def test_compress_rejects_mismatched_scores():
         compress_layer(cache.layers[0], [np.ones(3)], CompressionConfig(0.9, 0))
 
 
-def test_compress_idempotent():
-    cache = fill_layer(make_cache(n_heads=1), 0, n_image=8, n_text=2)
+def test_power_of_two_scaling_keeps_retained_set():
+    # scaling by 2**k is exact, so the normalized scores are the same floats
     raw = np.random.default_rng(3).uniform(0.1, 1, 10)
-    scores = normalized_scores(cache, 0, [raw])
-    compress_layer(cache.layers[0], scores, CompressionConfig(0.6, 0))
-    hc = cache.layers[0][0]
-    first = hc.positions.copy()
-    idx = {int(p): s for p, s in zip(np.arange(10), scores[0])}
-    again = [np.array([idx[int(p)] for p in hc.positions])]
-    compress_layer(cache.layers[0], again, CompressionConfig(0.6, 0))
-    assert np.array_equal(cache.layers[0][0].positions, first)
+    kept = []
+    for k in (0, -40, -1, 1, 40):
+        cache = fill_layer(make_cache(n_heads=1), 0, n_image=8, n_text=2)
+        compress_layer(cache.layers[0], [raw * 2.0 ** k], CompressionConfig(0.6, 0))
+        kept.append(cache.layers[0][0].positions.tolist())
+    assert len(kept[0]) < 10
+    assert all(positions == kept[0] for positions in kept)
+
+
+def test_zero_image_mass_compresses_as_uniform():
+    cache = fill_layer(make_cache(n_heads=1), 0, n_image=16, n_text=1)
+    compress_layer(cache.layers[0], [np.zeros(17)], CompressionConfig(0.5, 0))
+    assert cache.layers[0][0].positions.tolist() == list(range(8)) + [16]
 
 
 @settings(deadline=None, max_examples=60)
@@ -139,11 +133,10 @@ def test_compress_idempotent():
 def test_compress_monotone_in_beta(n, seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.01, 1.0, n)
-    norm = raw / raw.sum()
     kept = []
     for beta in (0.3, 0.6, 0.9, 1.0):
         cache = fill_layer(make_cache(n_heads=1), 0, n_image=n, n_text=0)
-        compress_layer(cache.layers[0], [norm], CompressionConfig(beta, 0))
+        compress_layer(cache.layers[0], [raw], CompressionConfig(beta, 0))
         kept.append(set(cache.layers[0][0].positions.tolist()))
     for a, b in zip(kept, kept[1:]):
         assert a <= b
@@ -154,7 +147,7 @@ def test_compress_monotone_in_beta(n, seed):
 def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=n_image, n_text=n_text, seed=seed)
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, n_image + n_text)
-    compress_layer(cache.layers[0], normalized_scores(cache, 0, [raw]), CompressionConfig(beta, 0))
+    compress_layer(cache.layers[0], [raw], CompressionConfig(beta, 0))
     hc = cache.layers[0][0]
     assert int((~is_image_segment(hc.segments)).sum()) == n_text
 
@@ -237,8 +230,8 @@ def test_snapshot_csv(tmp_path):
     cache = make_cache(n_layers=2, n_heads=1)
     fill_layer(cache, 0, 3, 1)
     fill_layer(cache, 1, 3, 1)
-    audit = normalize_and_compress(cache.layers[1], [np.array([0.7, 0.2, 0.1, 0.0])],
-                                   CompressionConfig(0.8, 1), audit=True)
+    audit = compress_layer(cache.layers[1], [np.array([0.7, 0.2, 0.1, 0.0])],
+                           CompressionConfig(0.8, 1), audit=True)
     out = tmp_path / "snap.csv"
     dump_snapshot(cache, [None, audit], out)
     rows = list(csv.DictReader(out.open()))
@@ -252,14 +245,18 @@ def test_snapshot_csv(tmp_path):
 
 def test_audit_recorded_only_when_asked():
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
-    scores = normalized_scores(cache, 0, [np.arange(1.0, 8.0)] * 2)
+    scores = [np.arange(1.0, 8.0)] * 2
     assert compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0)) is None
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
     audit = compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0), audit=True)
     assert len(audit) == 2
-    for (pos, _, retained, _), hc in zip(audit, cache.layers[0]):
+    for (pos, _, retained, recorded), hc in zip(audit, cache.layers[0]):
         assert pos.tolist() == list(range(7))
         assert pos[retained].tolist() == hc.positions.tolist()
+        # image scores are recorded normalized, the text entry's as given
+        assert recorded[:6].sum() == pytest.approx(1.0)
+        assert recorded[6] == 7.0
+    assert scores[0].tolist() == list(np.arange(1.0, 8.0))  # the caller's scores are not normalized in place
 
 
 def test_replace_right_sizes_buffers():
@@ -267,7 +264,7 @@ def test_replace_right_sizes_buffers():
     full = [(hc.keys.copy(), hc.values.copy()) for hc in cache.layers[0]]
     rng = np.random.default_rng(5)
     raw = [rng.uniform(0.01, 1.0, 43) ** 4 for _ in range(2)]
-    compress_layer(cache.layers[0], normalized_scores(cache, 0, raw), CompressionConfig(0.5, 0))
+    compress_layer(cache.layers[0], raw, CompressionConfig(0.5, 0))
     for hc, (keys, values) in zip(cache.layers[0], full):
         assert hc.n < 43
         assert hc.capacity == hc.n

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lightinfer import (
     ModelConfig,
-    attention_mass_curve,
     build_input,
     full_recompute_decode,
     generate,
@@ -14,6 +13,7 @@ from lightinfer import (
     naive_weighted_merge,
     prefill,
 )
+from lightinfer.kvcache import coverage_prefix
 
 from conftest import pipeline
 
@@ -68,20 +68,27 @@ def test_recompute_rejects_compression():
         full_recompute_decode(model, seq, pipeline((1,), compression=True), 2)
 
 
+def mass_curve(scores, thresholds):
+    """k per threshold, as `analyze` counts it: the coverage prefix of the normalized scores."""
+    s = np.asarray(scores, dtype=np.float64)
+    norm = s / s.sum()
+    return [coverage_prefix(norm, np.arange(s.size), t).size for t in thresholds]
+
+
 def test_mass_curve_uniform():
-    assert attention_mass_curve(np.ones(100), [0.95]) == [95]
+    assert mass_curve(np.ones(100), [0.95]) == [95]
 
 
 def test_mass_curve_one_hot():
     scores = np.zeros(50)
     scores[13] = 3.0
-    assert attention_mass_curve(scores, [0.5, 0.9, 1.0]) == [1, 1, 1]
+    assert mass_curve(scores, [0.5, 0.9, 1.0]) == [1, 1, 1]
 
 
 def test_mass_curve_reporting_fractions():
     rng = np.random.default_rng(23)
     scores = rng.pareto(1.5, size=400)
-    (k,) = attention_mass_curve(scores, [0.95])
+    (k,) = mass_curve(scores, [0.95])
     assert 1 <= k <= 400
     top = np.sort(scores)[::-1][:k]
     assert top.sum() / scores.sum() >= 0.95
@@ -91,10 +98,5 @@ def test_mass_curve_reporting_fractions():
 @settings(deadline=None)
 @given(st.lists(st.floats(0.001, 10.0), min_size=1, max_size=60))
 def test_mass_curve_monotone_in_threshold(vals):
-    ks = attention_mass_curve(np.array(vals), [0.25, 0.5, 0.75, 0.9, 1.0])
+    ks = mass_curve(np.array(vals), [0.25, 0.5, 0.75, 0.9, 1.0])
     assert all(a <= b for a, b in zip(ks, ks[1:]))
-
-
-def test_mass_curve_rejects_all_zero():
-    with pytest.raises(ValueError):
-        attention_mass_curve(np.zeros(5), [0.5])
