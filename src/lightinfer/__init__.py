@@ -13,6 +13,5 @@ from .model import (
     init_model,
     prefill,
 )
-from .oracle import full_recompute_decode, naive_weighted_merge
 
 __version__ = "0.1.0"

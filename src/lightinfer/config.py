@@ -28,6 +28,15 @@ class InputConfig:
     redundancy: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("n_system", "n_image", "n_instruction"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_system + self.n_image + self.n_instruction < 1:
+            raise ValueError("n_system + n_image + n_instruction must be >= 1")
+        if not (0.0 <= self.redundancy <= 1.0):
+            raise ValueError(f"redundancy must be in [0, 1], got {self.redundancy}")
+
 
 @dataclass(frozen=True)
 class PipelineSettings:
@@ -52,6 +61,14 @@ class BenchSettings:
     keep_ratios: tuple[float, ...] = (0.35, 0.15, 0.03)
     betas: tuple[float, ...] = (0.995,)
     seeds: int = 5
+
+    def __post_init__(self):
+        if self.max_new < 1:
+            raise ValueError(f"max_new must be >= 1, got {self.max_new}")
+        if not self.lengths or min(self.lengths) < 1:
+            raise ValueError(f"lengths must be nonempty and all >= 1, got {self.lengths}")
+        if self.seeds < 1:
+            raise ValueError(f"seeds must be >= 1, got {self.seeds}")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ class CompressionConfig:
 
 
 class HeadCache:
-    """Append-only K/V store for one head, amortized-growth buffers.
+    """K/V store for one head: `append` and `extend` add entries in
+    amortized-growth buffers, and `replace` evicts all but the kept ones.
 
     Buffers start with no rows; the first write sizes them to exactly
     what it brings (prefill's `extend` brings the whole layer).

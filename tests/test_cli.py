@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,6 @@ from lightinfer.config import EngineConfig, load_config
 from lightinfer.kvcache import CompressionConfig, HeadCache, compress_layer
 from lightinfer.merge import Segment
 from lightinfer.model import LayerRecord, generate, init_model
-from lightinfer.verify import CheckResult
 
 BASE_CONFIG = """
 [model]
@@ -115,6 +115,23 @@ def test_bad_value_exits_2_and_names_key(tmp_path, capsys):
     bad.write_text("[model]\nn_layers=banana\n")
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert "n_layers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("run", "input", "n_image", "-5"),
+    ("run", "input", "redundancy", "1.5"),
+    ("run", "bench", "max_new", "0"),
+    ("bench", "bench", "lengths", "0,16"),
+    ("bench", "bench", "lengths", ""),
+    ("sweep", "bench", "seeds", "0"),
+])
+def test_out_of_range_value_exits_2_and_names_key(tmp_path, capsys, command, section, key, value):
+    path = tmp_path / "bad.ini"
+    text = BASE_CONFIG.format(keep_ratio="0.25", beta="0.9")
+    path.write_text(re.sub(rf"^{key}=.*$", f"{key}={value}", text, flags=re.M))
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid [{section}] settings" in err and key in err
 
 
 def test_default_config_roundtrips_through_ini(tmp_path):
@@ -305,6 +322,6 @@ def test_verify_unknown_check_exits_2(capsys):
 
 def test_verify_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setitem(verify_mod.FAST_CHECKS, "merge_oracle_equivalence",
-                        lambda: CheckResult("merge_oracle_equivalence", False, "forced failure"))
+                        lambda: (False, "forced failure"))
     assert cli.main(["verify", "--check", "merge_oracle_equivalence"]) == 3
     assert "FAIL merge_oracle_equivalence" in capsys.readouterr().out

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from lightinfer import (
     ModelConfig,
     build_input,
-    full_recompute_decode,
     generate,
     init_model,
     merge_tokens,
-    naive_weighted_merge,
     prefill,
 )
 from lightinfer.kvcache import coverage_prefix
+from lightinfer.oracle import full_recompute_decode, naive_weighted_merge
 
 from conftest import pipeline
 
