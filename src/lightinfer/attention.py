@@ -2,13 +2,17 @@
 
 There is one path. Queries are processed in blocks of `_BLOCK` rows; the
 block [s, e) computes logits only against the keys it can see, [:e], and
-masks only the diagonal tile. Scaling, max-subtraction, exp and row
-normalization run in place in that block's one logits buffer, so no NxN
-matrix is ever held. Besides the context, each call returns the per-key
-cumulative score vector -- the signal an efficient fused kernel can return,
-and all that every downstream token-reduction decision needs. The
-full-matrix reference that materializes every score lives in
-`oracle.full_attention`; the two agree up to float reordering.
+masks only the diagonal tile. Each call makes one logits buffer, sized for
+its largest block, and every block writes its logits into a contiguous view
+of it, so no NxN matrix is ever held and no block maps fresh memory. The
+1/sqrt(hd) scale is folded into the queries, and the softmax normalisation
+is deferred as in FlashAttention-2: each block keeps the unnormalised
+exponentials, and their reciprocal row sums scale the block's context and
+its contribution to the cumulative scores. Besides the context, each call
+returns the per-key cumulative score vector -- the signal an efficient
+fused kernel can return, and all that every downstream token-reduction
+decision needs. The full-matrix reference that materializes every score
+lives in `oracle.full_attention`; the two agree up to float reordering.
 
 Token importance, engine-wide, is the head-averaged causally-masked
 column sum of attention probabilities (raw, not renormalized per layer).
@@ -76,29 +80,30 @@ def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights) -> Atten
     n = hidden.shape[0]
     h = weights.n_heads
     hd = weights.head_dim
-    scale = np.float32(1.0 / np.sqrt(hd))
 
     q = _project_heads(hidden, weights.wq, h)
+    q *= np.float32(1.0 / np.sqrt(hd))
     k = _project_heads(hidden, weights.wk, h)
     v = _project_heads(hidden, weights.wv, h)
 
     kt = np.ascontiguousarray(k.transpose(0, 2, 1))
-    ctx_heads = np.empty((h, n, hd), dtype=np.float32)
+    ctx = np.empty((n, h, hd), dtype=np.float32)
     cum = np.zeros((h, n), dtype=np.float32)
+    buf = np.empty(h * min(_BLOCK, n) * n, dtype=np.float32)
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         # Queries [s, e) see keys [:e]; only the diagonal tile [s, e) x [s, e)
-        # holds future keys. Every step below runs in place in one buffer.
-        p = q[:, s:e] @ kt[:, :, :e]
-        p *= scale
+        # holds future keys. p holds the block's unnormalised exponentials.
+        p = buf[:h * (e - s) * e].reshape(h, e - s, e)
+        np.matmul(q[:, s:e], kt[:, :, :e], out=p)
         np.copyto(p[:, :, s:], np.float32(-np.inf), where=_FUTURE[:e - s, :e - s])
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=2, keepdims=True)
-        cum[:, :e] += p.sum(axis=1)
-        ctx_heads[:, s:e] = p @ v[:, :e]
+        rinv = np.float32(1.0) / p.sum(axis=2, keepdims=True)
+        ctx[s:e] = ((p @ v[:, :e]) * rinv).transpose(1, 0, 2)
+        cum[:, :e] += (rinv.transpose(0, 2, 1) @ p)[:, 0]
 
-    context = ctx_heads.transpose(1, 0, 2).reshape(n, h * hd) @ weights.wo
+    context = ctx.reshape(n, h * hd) @ weights.wo
     return AttentionOutput(context=context, cum_scores=cum, keys=k, values=v)
 
 

@@ -22,10 +22,23 @@ def test_single_token_cumulative_score_is_one():
     assert out.cum_scores.mean(axis=0).shape == (1,)
 
 
-@pytest.mark.parametrize("n", [1, 5, 16, 33])
+# Small sizes, the query-block boundaries and the default config's full length.
+@pytest.mark.parametrize("n", [1, 5, 16, 33, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1556])
 def test_cumulative_scores_total_equals_n(n):
     out = multi_head_attention(random_hidden(n, seed=n), random_weights(seed=n))
     assert np.abs(out.cum_scores.sum(axis=1) - n).max() < 1e-4
+
+
+def test_back_to_back_calls_share_no_memory():
+    # one logits buffer per call: nothing returned may alias a buffer a later call reuses
+    w = random_weights(seed=3)
+    first = multi_head_attention(random_hidden(_BLOCK + 7, seed=3), w)
+    kept = {name: getattr(first, name).copy() for name in ("context", "cum_scores", "keys", "values")}
+    second = multi_head_attention(random_hidden(_BLOCK + 7, seed=4), w)
+    for name, before in kept.items():
+        for other in ("context", "cum_scores", "keys", "values"):
+            assert not np.shares_memory(getattr(first, name), getattr(second, other))
+        assert np.array_equal(getattr(first, name), before)
 
 
 def test_cumulative_mode_matches_full_column_sums():

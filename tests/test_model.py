@@ -12,7 +12,7 @@ from lightinfer import (
 )
 import lightinfer.model as model_mod
 from lightinfer.kvcache import compress_all, memory_estimate
-from lightinfer.model import _gelu, layer_norm
+from lightinfer.model import _MLP_ROWS, _gelu, _mlp, layer_norm
 from lightinfer.oracle import _forward_no_cache
 
 from conftest import pipeline
@@ -193,6 +193,15 @@ def test_gelu_bit_identical_to_literal_expression(shape):
     c1 = np.float32(0.044715)
     expect = np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c0 * (x + c1 * x * x * x)))
     assert np.array_equal(_gelu(x.copy()), expect)
+
+
+# decode (1 row), both sides of a chunk boundary and default-config prefill
+@pytest.mark.parametrize("rows", [1, _MLP_ROWS - 1, _MLP_ROWS, _MLP_ROWS + 1, 1556])
+def test_mlp_bit_identical_to_one_shot(rows):
+    lw = init_model(ModelConfig(n_layers=1, seed=rows)).layers[0]
+    x = np.random.default_rng(rows).standard_normal((rows, 256)).astype(np.float32)
+    expect = _gelu(x @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
+    assert np.array_equal(_mlp(x, lw), expect)
 
 
 def test_layer_norm_constant_row_is_zero():
