@@ -21,8 +21,8 @@ from .kvcache import coverage_prefix
 from .merge import Segment
 from .model import Model, PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
 
-# bench variant -> (merging_enabled, compression_enabled); vanilla first,
-# since every other row's speedup is against it
+# bench variant -> (merging, compression) for `PipelineSettings.build`, where
+# off builds None; vanilla first, since every other row's speedup is against it
 VARIANT_FLAGS = {
     "vanilla": (False, False),
     "merge-only": (True, False),

@@ -40,17 +40,16 @@ class InputConfig:
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    merge_layers: tuple[int, ...] = (5, 9, 13)
-    keep_ratio: float = 0.35
-    beta: float = 0.995
-    start_layer: int = 5
+    merge_layers: tuple[int, ...] = MergeSchedule().merge_layers
+    keep_ratio: float = MergeSchedule().target_ratio
+    beta: float = CompressionConfig().beta
+    start_layer: int = CompressionConfig().start_layer
 
     def build(self, merging: bool = True, compression: bool = True) -> PipelineConfig:
+        """The engine pipeline; a mechanism switched off here is `None` there."""
         return PipelineConfig(
-            merge_schedule=MergeSchedule(self.merge_layers, self.keep_ratio),
-            compression=CompressionConfig(self.beta, self.start_layer),
-            merging_enabled=merging,
-            compression_enabled=compression,
+            MergeSchedule(self.merge_layers, self.keep_ratio) if merging else None,
+            CompressionConfig(self.beta, self.start_layer) if compression else None,
         )
 
 
@@ -139,17 +138,10 @@ def _check_cross_section(cfg: EngineConfig) -> None:
     """Checks that span sections, so that commands meet only valid settings.
 
     run, analyze and dump-cache run with merging and compression on, and
-    bench and sweep have variants with both on, so the layer checks apply
-    to every config.
+    bench and sweep have variants with both on, so each trial builds the
+    pipeline with both on and checks its layers against the model.
     """
-    n_layers = cfg.model.n_layers
     p = cfg.pipeline
-    if p.merge_layers and max(p.merge_layers) >= n_layers:
-        raise ConfigError(f"bad value for [pipeline] merge_layers: {p.merge_layers} "
-                          f"outside model with n_layers={n_layers}")
-    if p.start_layer >= n_layers:
-        raise ConfigError(f"bad value for [pipeline] start_layer: {p.start_layer} "
-                          f"outside model with n_layers={n_layers}")
     if not cfg.bench.keep_ratios or not cfg.bench.betas:
         raise ConfigError("bad value for [bench] keep_ratios/betas: "
                           "sweep needs a nonempty keep_ratios x betas grid")
@@ -158,8 +150,8 @@ def _check_cross_section(cfg: EngineConfig) -> None:
     trials += [("[bench] betas", {"beta": b}) for b in cfg.bench.betas]
     for where, overrides in trials:
         try:
-            schedule = replace(p, **overrides).build().merge_schedule
-            if cfg.input.n_image > 0:
-                schedule.keep_counts(cfg.input.n_image)
+            pipeline = replace(p, **overrides).build()
+            pipeline.check_layers(cfg.model.n_layers)
+            pipeline.merge_schedule.keep_counts(cfg.input.n_image)
         except ValueError as e:
             raise ConfigError(f"invalid {where} settings: {e}") from e

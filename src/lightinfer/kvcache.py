@@ -138,17 +138,20 @@ class KVCache:
         self._max_position = -1
 
     def append(self, layer: int, keys: np.ndarray, values: np.ndarray, position: int, segment: int) -> None:
-        """Append one entry to every head of a layer (decode path)."""
+        """Append one entry to every head of a layer (decode path); all heads
+        are checked before any is written, so a rejected append changes none."""
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range [0, {self.n_layers})")
         keys = np.asarray(keys, dtype=np.float32).reshape(self.n_heads, self.head_dim)
         values = np.asarray(values, dtype=np.float32).reshape(self.n_heads, self.head_dim)
-        for h, hc in enumerate(self.layers[layer]):
+        heads = self.layers[layer]
+        for h, hc in enumerate(heads):
             if hc.n and position <= hc.positions[-1]:
                 raise ValueError(
                     f"out-of-order append: position {position} <= last {int(hc.positions[-1])} "
                     f"(layer {layer}, head {h})"
                 )
+        for h, hc in enumerate(heads):
             hc.append(keys[h], values[h], position, segment)
         self._max_position = max(self._max_position, position)
 

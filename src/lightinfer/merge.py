@@ -114,8 +114,9 @@ class MergeSchedule:
             raise ValueError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
 
     def keep_counts(self, n_image: int) -> dict[int, int]:
-        """Merge layer -> image tokens that stage keeps, for n_image input tokens."""
-        if not self.merge_layers:
+        """Merge layer -> image tokens that stage keeps, for n_image input
+        tokens; empty when there are no merge layers or no image tokens."""
+        if not self.merge_layers or n_image == 0:
             return {}
         counts = plan_keep_counts(n_image, self.target_ratio, len(self.merge_layers))
         if abs(counts[-1] - n_image * self.target_ratio) > 1.0 + 1e-9:

@@ -20,7 +20,7 @@ survivors and, when asked, each head's eviction audit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,10 +63,30 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    merge_schedule: MergeSchedule = MergeSchedule()
-    compression: CompressionConfig = CompressionConfig()
-    merging_enabled: bool = True
-    compression_enabled: bool = True
+    """The two mechanisms prefill applies: the staged image-token merge and
+    KV cache compression. `None` switches a mechanism off, so
+    `PipelineConfig(None, None)` is the vanilla forward.
+    """
+    merge_schedule: Optional[MergeSchedule] = MergeSchedule()
+    compression: Optional[CompressionConfig] = CompressionConfig()
+    # Init-only: `perfbench/workloads.py` (`Workload.pipeline()`, `DISABLED`) still passes them.
+    merging_enabled: InitVar[bool] = True
+    compression_enabled: InitVar[bool] = True
+
+    def __post_init__(self, merging_enabled: bool, compression_enabled: bool):
+        if not merging_enabled:
+            object.__setattr__(self, "merge_schedule", None)
+        if not compression_enabled:
+            object.__setattr__(self, "compression", None)
+
+    def check_layers(self, n_layers: int) -> None:
+        """ValueError, naming the setting, if a mechanism that is on starts past the model."""
+        ms = self.merge_schedule
+        if ms is not None and ms.merge_layers and max(ms.merge_layers) >= n_layers:
+            raise ValueError(f"merge_layers {ms.merge_layers} outside model with {n_layers} layers")
+        if self.compression is not None and self.compression.start_layer >= n_layers:
+            raise ValueError(f"start_layer {self.compression.start_layer} outside model "
+                             f"with {n_layers} layers")
 
 
 @dataclass
@@ -235,17 +255,6 @@ class PrefillResult:
     metrics: RunMetrics
 
 
-def _validate_pipeline(model: Model, pipeline: PipelineConfig) -> None:
-    ml = pipeline.merge_schedule.merge_layers
-    if pipeline.merging_enabled and ml and max(ml) >= model.config.n_layers:
-        raise ValueError(f"merge_layers {ml} outside model with {model.config.n_layers} layers")
-    if pipeline.compression_enabled and pipeline.compression.start_layer >= model.config.n_layers:
-        raise ValueError(
-            f"start_layer {pipeline.compression.start_layer} outside model "
-            f"with {model.config.n_layers} layers"
-        )
-
-
 def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
             audit: bool = False) -> PrefillResult:
     """Run every layer over the input, merging and compressing as configured.
@@ -257,18 +266,16 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         raise ValueError("prefill input must be nonempty")
     if seq.dim != model.config.dim:
         raise ValueError(f"input dim {seq.dim} != model dim {model.config.dim}")
-    _validate_pipeline(model, pipeline)
-
     cfg = model.config
-    do_merge = pipeline.merging_enabled and seq.n_image > 0
-    keep_counts = pipeline.merge_schedule.keep_counts(seq.n_image) if do_merge else {}
+    pipeline.check_layers(cfg.n_layers)
+    schedule, compression = pipeline.merge_schedule, pipeline.compression
+    keep_counts = schedule.keep_counts(seq.n_image) if schedule is not None else {}
 
     t0 = time.perf_counter()
     hidden = seq.embeddings
     segs = seq.segments
     poss = seq.positions
     cache = KVCache(cfg.n_layers, cfg.n_heads, cfg.dim // cfg.n_heads)
-    compression = pipeline.compression if pipeline.compression_enabled else None
 
     metrics = RunMetrics()
 

@@ -66,8 +66,8 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
     longer sequence reproduces exactly the decisions the engine made at
     prefill time (causal rows are unaffected by appended tokens).
     """
-    do_merge = pipeline.merging_enabled and seq.n_image > 0
-    keep_counts = pipeline.merge_schedule.keep_counts(seq.n_image) if do_merge else {}
+    schedule = pipeline.merge_schedule
+    keep_counts = schedule.keep_counts(seq.n_image) if schedule is not None else {}
 
     hidden, segs, poss = seq.embeddings, seq.segments, seq.positions
     for li, lw in enumerate(model.layers):
@@ -88,8 +88,8 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
 def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
                           n_steps: int) -> list[int]:
     """Greedy decode with no KV cache: rerun the whole stack each step."""
-    if pipeline.compression_enabled:
-        raise ValueError("full_recompute_decode requires compression disabled")
+    if pipeline.compression is not None:
+        raise ValueError("full_recompute_decode requires compression=None")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 

@@ -55,16 +55,6 @@ class CheckResult:
 Check = Callable[[], tuple[bool, str]]
 
 
-def _pipeline(merge_layers=(5, 9, 13), keep_ratio=1.0, beta=1.0, start_layer=5,
-              merging=True, compression=True) -> PipelineConfig:
-    return PipelineConfig(
-        merge_schedule=MergeSchedule(tuple(merge_layers), keep_ratio),
-        compression=CompressionConfig(beta, start_layer),
-        merging_enabled=merging,
-        compression_enabled=compression,
-    )
-
-
 def _small_model(seed: int, n_layers: int) -> Model:
     return init_model(ModelConfig(n_layers=n_layers, n_heads=4, dim=64, vocab=128, seed=seed))
 
@@ -72,8 +62,8 @@ def _small_model(seed: int, n_layers: int) -> Model:
 def check_identity_configuration() -> tuple[bool, str]:
     """keep_ratio=1.0 and beta=1.0 must generate bit-identical ids to the
     pipeline-disabled model."""
-    identity = _pipeline((1, 3, 5), keep_ratio=1.0, beta=1.0, start_layer=1)
-    disabled = _pipeline((1, 3, 5), merging=False, compression=False)
+    identity = PipelineConfig(MergeSchedule((1, 3, 5), 1.0), CompressionConfig(1.0, 1))
+    disabled = PipelineConfig(None, None)
     for seed in range(20):
         model = _small_model(seed, 6)
         seq = build_input(8, 96, 12, redundancy=0.3, seed=1000 + seed, dim=64)
@@ -120,9 +110,9 @@ def check_cache_decode_equivalence() -> tuple[bool, str]:
         model = _small_model(seed, 5)
         seq = build_input(6, 48, 10, redundancy=0.5, seed=2000 + seed, dim=64)
         for merging in (False, True):
-            cached = _pipeline((1, 2, 3), keep_ratio=0.4, beta=1.0, start_layer=1,
-                               merging=merging, compression=True)
-            uncached = _pipeline((1, 2, 3), keep_ratio=0.4, merging=merging, compression=False)
+            schedule = MergeSchedule((1, 2, 3), 0.4) if merging else None
+            cached = PipelineConfig(schedule, CompressionConfig(1.0, 1))
+            uncached = PipelineConfig(schedule, None)
             ids_fast, _ = generate(model, seq, cached, 8)
             ids_ref = full_recompute_decode(model, seq, uncached, 8)
             if ids_fast != ids_ref:
@@ -196,7 +186,7 @@ def check_token_ledger() -> tuple[bool, str]:
         return False, f"planned counts {counts} != [311, 97, 30]"
     model = init_model(ModelConfig(n_layers=28, n_heads=4, dim=64, vocab=128, seed=3))
     seq = build_input(30, 1000, 50, redundancy=0.5, seed=3, dim=64)
-    pre = prefill(model, seq, _pipeline((5, 9, 13), keep_ratio=0.03, merging=True, compression=False))
+    pre = prefill(model, seq, PipelineConfig(MergeSchedule((5, 9, 13), 0.03), None))
     expect = [1000] * 5 + [311] * 4 + [97] * 4 + [30] * 15
     got = [r.image_tokens for r in pre.metrics.layers]
     if got != expect:
@@ -211,8 +201,8 @@ def check_prefill_speedup() -> tuple[bool, str]:
     """Merged prefill at keep_ratio 0.03 vs vanilla, 2048 image tokens."""
     model = init_model(ModelConfig(n_layers=28, n_heads=4, dim=256, vocab=512, seed=5))
     seq = build_input(30, 2048, 50, redundancy=0.5, seed=5, dim=256)
-    merged = _pipeline((5, 9, 13), keep_ratio=0.03, merging=True, compression=False)
-    vanilla = _pipeline(merging=False, compression=False)
+    merged = PipelineConfig(MergeSchedule((5, 9, 13), 0.03), None)
+    vanilla = PipelineConfig(None, None)
     times = {"merged": [], "vanilla": []}
     prefill(model, seq, vanilla)  # warm-up discarded
     for _ in range(5):
@@ -247,9 +237,8 @@ def check_long_decode_speedup() -> tuple[bool, str]:
     """
     model = init_model(ModelConfig(n_layers=28, n_heads=4, dim=256, vocab=512, seed=9))
     seq = build_input(30, 3072, 50, redundancy=0.5, seed=9, dim=256)
-    full = _pipeline((5, 9, 13), keep_ratio=0.95, beta=0.08, start_layer=0,
-                     merging=True, compression=True)
-    vanilla = _pipeline(merging=False, compression=False)
+    full = PipelineConfig(MergeSchedule((5, 9, 13), 0.95), CompressionConfig(0.08, 0))
+    vanilla = PipelineConfig(None, None)
 
     pre = prefill(model, seq, full)
     frac = _cache_image_entries(pre.cache) / (28 * 4 * 3072)
@@ -287,8 +276,8 @@ def check_memory_ledger() -> tuple[bool, str]:
     model = init_model(cfgm)
     seq = build_input(40, 2048, 40, redundancy=0.5, seed=13, dim=128)
     img_frac = 2048 / len(seq)
-    compressed = _pipeline(merging=False, compression=True, beta=0.08, start_layer=0)
-    vanilla = _pipeline(merging=False, compression=False)
+    compressed = PipelineConfig(None, CompressionConfig(0.08, 0))
+    vanilla = PipelineConfig(None, None)
 
     pre_c = prefill(model, seq, compressed)
     pre_v = prefill(model, seq, vanilla)
@@ -308,14 +297,14 @@ def check_drift_tiering() -> tuple[bool, str]:
     as more image tokens are kept (redundancy-0.9 inputs, seed-averaged)."""
     cfgm = ModelConfig(n_layers=8, n_heads=4, dim=64, vocab=256, seed=17)
     model = init_model(cfgm)
-    disabled = _pipeline(merging=False, compression=False)
+    disabled = PipelineConfig(None, None)
     keep_ratios = (0.03, 0.15, 0.35, 1.0)
     drifts = {kr: [] for kr in keep_ratios}
     for s in range(20):
         seq = build_input(8, 192, 16, redundancy=0.9, seed=4000 + s, dim=64)
         ref, _ = generate(model, seq, disabled, 32)
         for kr in keep_ratios:
-            pipe = _pipeline((2, 4, 6), keep_ratio=kr, beta=1.0, start_layer=2)
+            pipe = PipelineConfig(MergeSchedule((2, 4, 6), kr), CompressionConfig(1.0, 2))
             ids, _ = generate(model, seq, pipe, 32)
             drifts[kr].append(float(np.mean([a != b for a, b in zip(ids, ref)])))
     avg = {kr: statistics.mean(drifts[kr]) for kr in keep_ratios}

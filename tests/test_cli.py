@@ -175,6 +175,14 @@ def test_merge_layer_beyond_model_exits_2_and_names_key(tmp_path, capsys):
     assert "merge_layers" in capsys.readouterr().err
 
 
+def test_start_layer_beyond_model_exits_2_and_names_key(tmp_path, capsys):
+    path = tmp_path / "deep.ini"
+    path.write_text(BASE_CONFIG.format(keep_ratio="0.25", beta="0.9")
+                    .replace("start_layer=1", "start_layer=4"))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "start_layer" in capsys.readouterr().err
+
+
 def test_engine_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
     def broken_run(cfg, out=None):
         raise ValueError("engine fault")

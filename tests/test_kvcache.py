@@ -57,6 +57,19 @@ def test_append_rejects_out_of_order_position():
         cache.append(0, kv(), kv(), 4, Segment.IMAGE)
 
 
+def test_rejected_append_leaves_every_head_unchanged():
+    # head 0 keeps only position 0 and head 1 only position 4, so position 3
+    # is in order for head 0 and out of order for head 1
+    cache = fill_layer(make_cache(), 0, n_image=5, n_text=0)
+    onehot = np.eye(5)
+    compress_layer(cache.layers[0], [onehot[0], onehot[4]], CompressionConfig(0.5, 0))
+    assert [hc.positions.tolist() for hc in cache.layers[0]] == [[0], [4]]
+    with pytest.raises(ValueError, match="out-of-order"):
+        cache.append(0, kv(), kv(), 3, Segment.GENERATED)
+    assert [hc.n for hc in cache.layers[0]] == [1, 1]
+    assert [hc.positions.tolist() for hc in cache.layers[0]] == [[0], [4]]
+
+
 def test_append_rejects_bad_layer():
     with pytest.raises(ValueError, match="layer"):
         make_cache().append(3, kv(), kv(), 0, Segment.IMAGE)

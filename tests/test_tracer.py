@@ -7,13 +7,16 @@ root, so a renamed or deleted name breaks benchmark runs. These run one
 request on the tiny model to catch that early.
 """
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lightinfer.model as M
+from lightinfer import CompressionConfig, MergeSchedule, ModelConfig, PipelineConfig, init_model
 
 from conftest import pipeline
 
@@ -40,3 +43,37 @@ def test_benchmark_request_path_runs_on_the_engine(tiny_model, tiny_seq):
     assert all(0 <= t < tiny_model.config.vocab for t in reply.ids)
     # merging and compression off: every layer holds every input and generated token
     assert reply.cache.entries_per_layer() == [2 * (len(tiny_seq) + 2)] * 4
+
+
+# `PipelineConfig` says off with None; `perfbench/workloads.py` still says it
+# with the init-only `merging_enabled`/`compression_enabled` flags.
+
+def test_flag_arguments_build_the_none_pipeline():
+    assert PipelineConfig(merging_enabled=False, compression_enabled=False) == PipelineConfig(None, None)
+    assert [f.name for f in dataclasses.fields(PipelineConfig)] == ["merge_schedule", "compression"]
+
+
+@pytest.fixture(scope="module")
+def model_14_layers():
+    # deep enough for the workloads' merge layers 5, 9 and 13
+    return init_model(ModelConfig(n_layers=14, n_heads=2, dim=32, vocab=64, seed=0))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_pipeline_is_none_exactly_when_off(name, model_14_layers, tiny_seq):
+    w = workloads.WORKLOADS[name]
+    pipe = w.pipeline()
+    assert pipe == PipelineConfig(
+        MergeSchedule(w.merge_layers, w.keep_ratio) if w.merging else None,
+        CompressionConfig(w.beta, w.start_layer) if w.compression else None,
+    )
+    assert (pipe.merge_schedule is None) == (not w.merging)
+    assert (pipe.compression is None) == (not w.compression)
+    reply = workloads.run_request(model_14_layers, tiny_seq, pipe, 3)
+    assert len(reply.ids) == 3
+    full = 2 * (len(tiny_seq) + 2) * 14
+    assert (sum(reply.cache.entries_per_layer()) == full) == (not (w.merging or w.compression))
+
+
+def test_keep_counts_of_no_image_tokens_is_empty():
+    assert MergeSchedule((1, 2), 0.5).keep_counts(0) == {}
