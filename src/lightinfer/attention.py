@@ -107,11 +107,21 @@ def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights) -> Atten
     return AttentionOutput(context=context, cum_scores=cum, keys=k, values=v)
 
 
-def attend_single_query(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """One decode-time query against a head's cached keys/values."""
-    scale = np.float32(1.0 / np.sqrt(keys.shape[1]))
-    s = keys @ (q * scale)
-    s -= s.max()
+def attend_single_query(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                        counts: np.ndarray) -> np.ndarray:
+    """A layer's decode-time queries (H, hd) against its cached keys and values
+    (H, cap, hd), head h's in rows [:counts[h]]; returns the (H, hd) context.
+
+    Scores past a head's count are masked only where the counts differ;
+    padding rows must be finite, since a weight of 0 times NaN is NaN.
+    """
+    n = int(counts.max())
+    keys, values = keys[:, :n], values[:, :n]
+    scale = np.float32(1.0 / np.sqrt(keys.shape[2]))
+    s = np.matmul(keys, (q * scale)[:, :, None])[:, :, 0]
+    if counts.min() < n:
+        s[np.arange(n) >= counts[:, None]] = -np.inf
+    s -= s.max(axis=1, keepdims=True)
     e = np.exp(s)
-    e /= e.sum()
-    return e @ values
+    e /= e.sum(axis=1, keepdims=True)
+    return np.matmul(e[:, None, :], values)[:, 0]

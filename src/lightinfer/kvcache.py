@@ -1,4 +1,10 @@
-"""Per-layer, per-head KV storage and coverage-threshold compression.
+"""Per-layer KV storage and coverage-threshold compression.
+
+`KVCache` holds each layer as one tensor per field: keys and values
+`(H, cap, hd)`, positions and segments `(H, cap)`, with every head's
+live count in `counts` `(L, H)`. Head h of layer l holds its entries in
+rows `[:counts[l, h]]`; the rows past its count are zeros, so a
+masked-out row never carries NaN into a weighted sum.
 
 Compression keeps, per head, the shortest descending-score prefix of
 image entries whose attention mass, normalized over the head's image
@@ -6,17 +12,18 @@ entries, reaches beta (`coverage_prefix`); everything else image-kind is
 evicted. Text entries are never evicted. Retained entries go back in
 original-position order.
 
-Eviction frees memory: the kept rows are copied into new buffers sized
-to exactly the kept count, and the old buffers are released. Appends
-grow a full buffer by an eighth of its capacity (`_GROWTH_DIV`), not by
-doubling, so a cache holds at most ~1/8 more rows than live entries.
+Eviction frees memory: each head's kept rows are gathered into new
+buffers sized to the layer's largest head, and the old ones are released.
+Appends grow a full layer by an eighth of its capacity (`_GROWTH_DIV`),
+not by doubling, so a layer holds at most ~1/8 more rows than its
+largest head. Every buffer is allocated in this module.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,90 +49,19 @@ class CompressionConfig:
             raise ValueError(f"start_layer must be >= 0, got {self.start_layer}")
 
 
-class HeadCache:
-    """K/V store for one head: `append` and `extend` add entries in
-    amortized-growth buffers, and `replace` evicts all but the kept ones.
-
-    Buffers start with no rows; the first write sizes them to exactly
-    what it brings (prefill's `extend` brings the whole layer).
-    """
-
-    __slots__ = ("n", "_keys", "_values", "_positions", "_segments")
-
-    def __init__(self, head_dim: int):
-        self.n = 0
-        self._keys = np.empty((0, head_dim), dtype=np.float32)
-        self._values = np.empty((0, head_dim), dtype=np.float32)
-        self._positions = np.empty(0, dtype=np.int64)
-        self._segments = np.empty(0, dtype=np.int8)
-
-    def _grow(self, need: int) -> None:
-        cap = self._keys.shape[0]
-        if self.n + need <= cap:
-            return
-        new_cap = max(cap + cap // _GROWTH_DIV, self.n + need)
-        for name in ("_keys", "_values", "_positions", "_segments"):
-            old = getattr(self, name)
-            buf = np.empty((new_cap,) + old.shape[1:], dtype=old.dtype)
-            buf[: self.n] = old[: self.n]
-            setattr(self, name, buf)
-
-    def append(self, key: np.ndarray, value: np.ndarray, position: int, segment: int) -> None:
-        self._grow(1)
-        i = self.n
-        self._keys[i] = key
-        self._values[i] = value
-        self._positions[i] = position
-        self._segments[i] = segment
-        self.n = i + 1
-
-    def extend(self, keys, values, positions, segments) -> None:
-        m = keys.shape[0]
-        self._grow(m)
-        self._keys[self.n : self.n + m] = keys
-        self._values[self.n : self.n + m] = values
-        self._positions[self.n : self.n + m] = positions
-        self._segments[self.n : self.n + m] = segments
-        self.n += m
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self._keys[: self.n]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values[: self.n]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions[: self.n]
-
-    @property
-    def segments(self) -> np.ndarray:
-        return self._segments[: self.n]
-
-    @property
-    def capacity(self) -> int:
-        return self._keys.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes allocated for keys, values, positions and segments."""
-        return sum(b.nbytes for b in (self._keys, self._values, self._positions, self._segments))
-
-    def replace(self, keep_idx: np.ndarray) -> None:
-        """Keep only the given (ascending) entry indices, in new right-sized buffers."""
-        self._keys = self._keys[keep_idx]
-        self._values = self._values[keep_idx]
-        self._positions = self._positions[keep_idx]
-        self._segments = self._segments[keep_idx]
-        self.n = keep_idx.shape[0]
+class HeadView(NamedTuple):
+    """One head's n live entries, as views into its layer's buffers."""
+    keys: np.ndarray        # (n, hd), and values too
+    values: np.ndarray
+    positions: np.ndarray   # (n,), and segments too
+    segments: np.ndarray
 
 
 class KVCache:
-    """Per-layer, per-head key/value entries with segment tags.
+    """Key/value entries with segment tags, laid out as the module says.
 
-    `layers[layer]` is that layer's list of `HeadCache`, one per head.
+    Layers start with no rows; prefill's `extend_layer` sizes each to
+    exactly what it brings.
     """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int):
@@ -134,51 +70,99 @@ class KVCache:
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.head_dim = head_dim
-        self.layers = [[HeadCache(head_dim) for _ in range(n_heads)] for _ in range(n_layers)]
-        self._max_position = -1
+        self.keys = [np.zeros((n_heads, 0, head_dim), np.float32) for _ in range(n_layers)]
+        self.values = [np.zeros((n_heads, 0, head_dim), np.float32) for _ in range(n_layers)]
+        self.positions = [np.zeros((n_heads, 0), np.int64) for _ in range(n_layers)]
+        self.segments = [np.zeros((n_heads, 0), np.int8) for _ in range(n_layers)]
+        self.counts = np.zeros((n_layers, n_heads), dtype=np.int64)
+        # The last position written to each layer; eviction leaves it as it is.
+        self._last = [-1] * n_layers
+        self._heads = np.arange(n_heads)
+
+    def _fields(self) -> tuple[list[np.ndarray], ...]:
+        return self.keys, self.values, self.positions, self.segments
+
+    def head(self, layer: int, h: int) -> HeadView:
+        """Head h's live entries in a layer."""
+        n = self.counts[layer, h]
+        return HeadView(self.keys[layer][h, :n], self.values[layer][h, :n],
+                        self.positions[layer][h, :n], self.segments[layer][h, :n])
+
+    def _grow(self, layer: int) -> None:
+        """Make room for one more row in every head of a layer."""
+        top = int(self.counts[layer].max())
+        cap = self.keys[layer].shape[1]
+        if top < cap:
+            return
+        new_cap = max(cap + cap // _GROWTH_DIV, top + 1)
+        for field in self._fields():
+            old = field[layer]
+            buf = np.empty(old.shape[:1] + (new_cap,) + old.shape[2:], dtype=old.dtype)
+            buf[:, :top] = old[:, :top]
+            buf[:, top:] = 0
+            field[layer] = buf
 
     def append(self, layer: int, keys: np.ndarray, values: np.ndarray, position: int, segment: int) -> None:
-        """Append one entry to every head of a layer (decode path); all heads
-        are checked before any is written, so a rejected append changes none."""
+        """Append one entry to every head of a layer (decode path), each after
+        its head's own entries; a rejected append changes nothing."""
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range [0, {self.n_layers})")
         keys = np.asarray(keys, dtype=np.float32).reshape(self.n_heads, self.head_dim)
         values = np.asarray(values, dtype=np.float32).reshape(self.n_heads, self.head_dim)
-        heads = self.layers[layer]
-        for h, hc in enumerate(heads):
-            if hc.n and position <= hc.positions[-1]:
-                raise ValueError(
-                    f"out-of-order append: position {position} <= last {int(hc.positions[-1])} "
-                    f"(layer {layer}, head {h})"
-                )
-        for h, hc in enumerate(heads):
-            hc.append(keys[h], values[h], position, segment)
-        self._max_position = max(self._max_position, position)
+        if position <= self._last[layer]:
+            raise ValueError(f"out-of-order append: position {position} <= last "
+                             f"{self._last[layer]} (layer {layer})")
+        self._grow(layer)
+        n = self.counts[layer]
+        self.keys[layer][self._heads, n] = keys
+        self.values[layer][self._heads, n] = values
+        self.positions[layer][self._heads, n] = position
+        self.segments[layer][self._heads, n] = segment
+        n += 1
+        self._last[layer] = position
 
     def extend_layer(self, layer: int, keys: np.ndarray, values: np.ndarray,
                      positions: np.ndarray, segments: np.ndarray) -> None:
-        """Bulk-populate a layer during prefill.
+        """Fill an empty layer during prefill, with the same entries in every head.
 
         Positions must be non-decreasing: merged tokens may share a
         position slot with the token after them, so strict ordering is
         only enforced on the single-entry decode path.
         """
+        if self.counts[layer].any():
+            raise ValueError(f"layer {layer} is already filled")
         positions = np.asarray(positions, dtype=np.int64)
         segments = np.asarray(segments, dtype=np.int8)
         if np.any(np.diff(positions) < 0):
             raise ValueError(f"prefill positions must be non-decreasing (layer {layer})")
-        for h, hc in enumerate(self.layers[layer]):
-            if hc.n and positions.size and positions[0] < hc.positions[-1]:
-                raise ValueError(f"prefill block precedes existing entries (layer {layer})")
-            hc.extend(keys[h], values[h], positions, segments)
-        if positions.size:
-            self._max_position = max(self._max_position, int(positions[-1]))
+        shape = (self.n_heads, positions.shape[0], self.head_dim)
+        self.keys[layer] = np.array(keys, np.float32, order="C").reshape(shape)
+        self.values[layer] = np.array(values, np.float32, order="C").reshape(shape)
+        self.positions[layer] = positions[None].repeat(self.n_heads, axis=0)
+        self.segments[layer] = segments[None].repeat(self.n_heads, axis=0)
+        self.counts[layer] = shape[1]
+        self._last[layer] = int(positions.max(initial=-1))
+
+    def keep(self, layer: int, rows: Sequence[np.ndarray]) -> None:
+        """Keep only `rows[h]` (ascending row indices) of each head h of a layer,
+        gathered into new buffers sized to the layer's largest head."""
+        counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
+        n = int(counts.max())
+        idx = np.zeros((self.n_heads, n), dtype=np.int64)
+        for h, r in enumerate(rows):
+            idx[h, :r.shape[0]] = r
+        pad = np.arange(n) >= counts[:, None]
+        for field in self._fields():
+            buf = field[layer][self._heads[:, None], idx]
+            buf[pad] = 0
+            field[layer] = buf
+        self.counts[layer] = counts
 
     def next_position(self) -> int:
-        return self._max_position + 1
+        return max(self._last) + 1
 
     def entries_per_layer(self) -> list[int]:
-        return [sum(hc.n for hc in heads) for heads in self.layers]
+        return self.counts.sum(axis=1).tolist()
 
 
 def coverage_prefix(scores: np.ndarray, candidates: np.ndarray, beta: float) -> np.ndarray:
@@ -197,9 +181,9 @@ def coverage_prefix(scores: np.ndarray, candidates: np.ndarray, beta: float) -> 
     return candidates[np.sort(order[:k])]
 
 
-def compress_layer(heads: list[HeadCache], raw_scores: Sequence[np.ndarray],
+def compress_layer(cache: KVCache, layer: int, raw_scores: Sequence[np.ndarray],
                    config: CompressionConfig, audit: bool = False) -> Optional[list[HeadAudit]]:
-    """Compress one layer's heads in place, each independently.
+    """Compress one layer of the cache in place, each head independently.
 
     `raw_scores[h]` holds one nonnegative score per entry of head h. Each
     head's image-entry scores are normalized to sum to 1 (uniform if they
@@ -211,18 +195,19 @@ def compress_layer(heads: list[HeadCache], raw_scores: Sequence[np.ndarray],
     and normalized scores over the entries present before eviction;
     otherwise None.
     """
-    if len(raw_scores) != len(heads):
-        raise ValueError(f"{len(raw_scores)} score vectors for {len(heads)} heads")
+    if len(raw_scores) != cache.n_heads:
+        raise ValueError(f"{len(raw_scores)} score vectors for {cache.n_heads} heads")
     records = [] if audit else None
-    for h, hc in enumerate(heads):
+    rows = []
+    for h in range(cache.n_heads):
+        hv = cache.head(layer, h)
+        n = hv.positions.shape[0]
         scores = np.array(raw_scores[h], dtype=np.float64).reshape(-1)
-        if scores.shape[0] != hc.n:
-            raise ValueError(
-                f"head {h}: {scores.shape[0]} scores for {hc.n} cache entries"
-            )
+        if scores.shape[0] != n:
+            raise ValueError(f"head {h}: {scores.shape[0]} scores for {n} cache entries")
         if scores.size and scores.min() < 0:
             raise ValueError(f"head {h}: scores must be nonnegative")
-        img = np.flatnonzero(is_image_segment(hc.segments))
+        img = np.flatnonzero(is_image_segment(hv.segments))
         mass = scores[img].sum()
         if img.size and mass > 0:
             scores[img] /= mass
@@ -232,14 +217,14 @@ def compress_layer(heads: list[HeadCache], raw_scores: Sequence[np.ndarray],
             keep_img = img
         else:
             keep_img = coverage_prefix(scores, img, config.beta)
-        retained = np.ones(hc.n, dtype=bool)
+        retained = np.ones(n, dtype=bool)
         retained[img] = False
         retained[keep_img] = True
         if audit:
-            records.append((hc.positions.copy(), hc.segments.copy(), retained, scores))
-        if retained.all():
-            continue
-        hc.replace(np.flatnonzero(retained))
+            records.append((hv.positions.copy(), hv.segments.copy(), retained, scores))
+        rows.append(np.flatnonzero(retained))
+    if sum(r.shape[0] for r in rows) < cache.counts[layer].sum():
+        cache.keep(layer, rows)
     return records
 
 
@@ -255,20 +240,20 @@ def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]
     for layer in range(config.start_layer, cache.n_layers):
         if scores[layer] is None:
             raise ValueError(f"missing scores for layer {layer} (start_layer {config.start_layer})")
-        compress_layer(cache.layers[layer], scores[layer], config)
+        compress_layer(cache, layer, scores[layer], config)
     return cache
 
 
 @dataclass(frozen=True)
 class MemoryEstimate:
     total: int        # logical: live entries x 2 vectors x head_dim x 4 bytes
-    allocated: int    # buffer capacity held for keys, values, positions and segments
+    allocated: int    # buffer capacity held for keys, values, positions and segments, padding included
 
 
 def memory_estimate(cache: KVCache) -> MemoryEstimate:
     """Logical bytes of the live entries, and the bytes actually allocated."""
-    total = sum(cache.entries_per_layer()) * 2 * cache.head_dim * 4
-    allocated = sum(hc.nbytes for heads in cache.layers for hc in heads)
+    total = int(cache.counts.sum()) * 2 * cache.head_dim * 4
+    allocated = sum(buf.nbytes for field in cache._fields() for buf in field)
     return MemoryEstimate(total, allocated)
 
 
@@ -283,12 +268,13 @@ def dump_snapshot(cache: KVCache, audits: Sequence[Optional[list[HeadAudit]]], p
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "head", "position", "segment", "retained", "score"])
-        for li, (heads, audit) in enumerate(zip(cache.layers, audits, strict=True)):
+        for li, audit in zip(range(cache.n_layers), audits, strict=True):
             if audit is not None:
                 for h, (pos, seg, ret, sc) in enumerate(audit):
                     for p, s, r, v in zip(pos, seg, ret, sc):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), int(r), f"{v:.8g}"])
             else:
-                for h, hc in enumerate(heads):
-                    for p, s in zip(hc.positions, hc.segments):
+                for h in range(cache.n_heads):
+                    hv = cache.head(li, h)
+                    for p, s in zip(hv.positions, hv.segments):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), 1, ""])

@@ -288,7 +288,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         del x, att  # only the scores are needed past this point
         evictions = None
         if compression is not None and li >= compression.start_layer:
-            evictions = compress_layer(cache.layers[li], cum, compression, audit)
+            evictions = compress_layer(cache, li, cum, compression, audit)
         hidden += _mlp(layer_norm(hidden), lw)  # hidden is this layer's own array
 
         img_mask = is_image_segment(segs)
@@ -303,7 +303,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
             img_mask = is_image_segment(segs)
 
         metrics.layers.append(LayerRecord(hidden.shape[0], int(img_mask.sum()),
-                                          sum(hc.n for hc in cache.layers[li]), importance, kept,
+                                          int(cache.counts[li].sum()), importance, kept,
                                           evictions))
 
     logits = (layer_norm(hidden) @ model.w_out)[-1]
@@ -320,7 +320,7 @@ def _record_memory(metrics: RunMetrics, cache: KVCache) -> None:
 
 def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray, KVCache]:
     """One greedy-decode forward step attending to the cached entries."""
-    if cache.layers[0][0].n == 0:
+    if not cache.counts.any():
         raise ValueError("decode_step needs a cache populated by prefill")
     if not 0 <= token_id < model.config.vocab:
         raise ValueError(f"token id {token_id} outside vocab {model.config.vocab}")
@@ -337,9 +337,7 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
         k = (x @ lw.attn.wk).reshape(h_count, hd)
         v = (x @ lw.attn.wv).reshape(h_count, hd)
         cache.append(li, k, v, pos, Segment.GENERATED)
-        ctx = np.empty((h_count, hd), dtype=np.float32)
-        for hi, hc in enumerate(cache.layers[li]):
-            ctx[hi] = attend_single_query(q[hi], hc.keys, hc.values)
+        ctx = attend_single_query(q, cache.keys[li], cache.values[li], cache.counts[li])
         hidden = hidden + ctx.reshape(1, cfg.dim) @ lw.attn.wo
         hidden = hidden + _mlp(layer_norm(hidden), lw)
 

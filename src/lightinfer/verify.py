@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .attention import _BLOCK, AttentionWeights, multi_head_attention
-from .kvcache import CompressionConfig, HeadCache, compress_layer, memory_estimate
+from .kvcache import CompressionConfig, KVCache, compress_layer, memory_estimate
 from .merge import (
     MergeSchedule,
     Segment,
@@ -120,14 +120,14 @@ def check_cache_decode_equivalence() -> tuple[bool, str]:
     return True, "10 seeds x 8 steps, merging on and off, ids exactly equal"
 
 
-def _single_head_layer(scores: np.ndarray) -> list[HeadCache]:
+def _single_head_layer(scores: np.ndarray) -> KVCache:
     """One head holding an image entry per score, then two text entries."""
     n_img = scores.shape[0]
-    hc = HeadCache(head_dim=4)
-    for i in range(n_img + 2):
-        seg = Segment.IMAGE if i < n_img else Segment.INSTRUCTION
-        hc.append(np.zeros(4, np.float32), np.zeros(4, np.float32), i, seg)
-    return [hc]
+    cache = KVCache(1, 1, 4)
+    zeros = np.zeros((1, n_img + 2, 4), np.float32)
+    segments = [Segment.IMAGE] * n_img + [Segment.INSTRUCTION] * 2
+    cache.extend_layer(0, zeros, zeros, np.arange(n_img + 2), np.array(segments, np.int8))
+    return cache
 
 
 def _minimal_coverage_prefix(norm: np.ndarray, beta: float) -> set[int]:
@@ -153,16 +153,16 @@ def check_coverage_minimality() -> tuple[bool, str]:
         norm = raw / raw.sum()
         retained_sets = []
         for beta in betas:
-            layer = _single_head_layer(norm)
-            compress_layer(layer, [np.concatenate([norm, np.zeros(2)])],
+            cache = _single_head_layer(norm)
+            compress_layer(cache, 0, [np.concatenate([norm, np.zeros(2)])],
                            CompressionConfig(beta, 0))
-            hc = layer[0]
-            got = set(int(p) for p in hc.positions[is_image_segment(hc.segments)])
+            head = cache.head(0, 0)
+            got = set(int(p) for p in head.positions[is_image_segment(head.segments)])
             expect = set(range(n)) if beta >= 1.0 else _minimal_coverage_prefix(norm, beta)
             if got != expect:
                 return False, (f"trial {trial} beta={beta}: retained {sorted(got)} "
                                f"!= minimal prefix {sorted(expect)}")
-            if int(is_image_segment(hc.segments).sum()) + 2 != hc.n:
+            if int(is_image_segment(head.segments).sum()) + 2 != len(head.segments):
                 return False, f"trial {trial}: text entries were evicted"
             # dropping the lowest-scored retained entry must break coverage
             if beta < 1.0 and len(got) > 1:
@@ -215,8 +215,8 @@ def check_prefill_speedup() -> tuple[bool, str]:
 
 
 def _cache_image_entries(cache) -> int:
-    return sum(int(is_image_segment(hc.segments).sum())
-               for heads in cache.layers for hc in heads)
+    return sum(int(is_image_segment(cache.head(li, h).segments).sum())
+               for li in range(cache.n_layers) for h in range(cache.n_heads))
 
 
 def check_long_decode_speedup() -> tuple[bool, str]:
@@ -282,7 +282,7 @@ def check_memory_ledger() -> tuple[bool, str]:
     pre_c = prefill(model, seq, compressed)
     pre_v = prefill(model, seq, vanilla)
     est = memory_estimate(pre_c.cache)
-    recount = sum(hc.n for heads in pre_c.cache.layers for hc in heads) * 2 * (128 // 4) * 4
+    recount = int(pre_c.cache.counts.sum()) * 2 * (128 // 4) * 4
     if est.total != recount:
         return False, f"memory_estimate {est.total} != recount {recount}"
     retained_frac = _cache_image_entries(pre_c.cache) / (12 * 4 * 2048)

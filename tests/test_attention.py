@@ -112,12 +112,38 @@ def test_hidden_dim_mismatch_rejected():
         multi_head_attention(random_hidden(4, dim=16), random_weights(dim=32))
 
 
-def test_attend_single_query_matches_manual_softmax():
-    rng = np.random.default_rng(19)
-    q = rng.standard_normal(8).astype(np.float32)
-    keys = rng.standard_normal((6, 8)).astype(np.float32)
-    values = rng.standard_normal((6, 8)).astype(np.float32)
-    logits = keys @ q / np.sqrt(8)
+def softmax_reference(q, keys, values):
+    """One head's decode attention, written out."""
+    logits = keys @ q / np.sqrt(q.shape[0])
     p = np.exp(logits - logits.max())
     p /= p.sum()
-    assert np.abs(attend_single_query(q, keys, values) - p @ values).max() < 1e-5
+    return p @ values
+
+
+def test_attend_single_query_matches_manual_softmax():
+    rng = np.random.default_rng(19)
+    q = rng.standard_normal((1, 8)).astype(np.float32)
+    keys = rng.standard_normal((1, 6, 8)).astype(np.float32)
+    values = rng.standard_normal((1, 6, 8)).astype(np.float32)
+    got = attend_single_query(q, keys, values, np.array([6]))
+    assert got.shape == (1, 8)
+    assert np.abs(got[0] - softmax_reference(q[0], keys[0], values[0])).max() < 1e-5
+
+
+@pytest.mark.parametrize("counts", [[5, 1, 9, 3], [9, 9, 9, 9], [2, 9, 9, 2]])
+def test_attend_single_query_ragged_heads(counts):
+    """Each head attends over its own rows only, whatever the padding rows hold."""
+    rng = np.random.default_rng(23)
+    h, cap, hd = 4, 12, 8
+    q = rng.standard_normal((h, hd)).astype(np.float32)
+    keys = rng.standard_normal((h, cap, hd)).astype(np.float32)
+    values = rng.standard_normal((h, cap, hd)).astype(np.float32)
+    for i, n in enumerate(counts):
+        # large finite garbage that would dominate the softmax if it were read
+        keys[i, n:] = 1e4 * q[i]
+        values[i, n:] = 1e6
+    got = attend_single_query(q, keys, values, np.array(counts))
+    assert got.shape == (h, hd) and np.isfinite(got).all()
+    for i, n in enumerate(counts):
+        ref = softmax_reference(q[i], keys[i, :n], values[i, :n])
+        assert np.abs(got[i] - ref).max() < 1e-5

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lightinfer.kvcache import (
     _GROWTH_DIV,
     CompressionConfig,
-    HeadCache,
     KVCache,
     compress_all,
     compress_layer,
@@ -32,6 +31,10 @@ def fill_layer(cache, layer, n_image, n_text, head_dim=4, seed=0):
     return cache
 
 
+def heads(cache, layer=0):
+    return [cache.head(layer, h) for h in range(cache.n_heads)]
+
+
 def kv(head_dim=4, n_heads=2, fill=0.0):
     return np.full((n_heads, head_dim), fill, dtype=np.float32)
 
@@ -39,15 +42,15 @@ def kv(head_dim=4, n_heads=2, fill=0.0):
 def test_append_to_empty_layer():
     cache = make_cache()
     cache.append(0, kv(fill=1.0), kv(fill=2.0), 0, Segment.SYSTEM_PROMPT)
-    assert [hc.n for hc in cache.layers[0]] == [1, 1]
+    assert cache.counts[0].tolist() == [1, 1]
 
 
 def test_append_keeps_position_order():
     cache = make_cache()
     cache.append(0, kv(), kv(), 3, Segment.IMAGE)
     cache.append(0, kv(), kv(), 5, Segment.IMAGE)
-    for hc in cache.layers[0]:
-        assert hc.positions.tolist() == [3, 5]
+    for hv in heads(cache):
+        assert hv.positions.tolist() == [3, 5]
 
 
 def test_append_rejects_out_of_order_position():
@@ -62,12 +65,12 @@ def test_rejected_append_leaves_every_head_unchanged():
     # is in order for head 0 and out of order for head 1
     cache = fill_layer(make_cache(), 0, n_image=5, n_text=0)
     onehot = np.eye(5)
-    compress_layer(cache.layers[0], [onehot[0], onehot[4]], CompressionConfig(0.5, 0))
-    assert [hc.positions.tolist() for hc in cache.layers[0]] == [[0], [4]]
+    compress_layer(cache, 0, [onehot[0], onehot[4]], CompressionConfig(0.5, 0))
+    assert [hv.positions.tolist() for hv in heads(cache)] == [[0], [4]]
     with pytest.raises(ValueError, match="out-of-order"):
         cache.append(0, kv(), kv(), 3, Segment.GENERATED)
-    assert [hc.n for hc in cache.layers[0]] == [1, 1]
-    assert [hc.positions.tolist() for hc in cache.layers[0]] == [[0], [4]]
+    assert cache.counts[0].tolist() == [1, 1]
+    assert [hv.positions.tolist() for hv in heads(cache)] == [[0], [4]]
 
 
 def test_append_rejects_bad_layer():
@@ -77,21 +80,20 @@ def test_append_rejects_bad_layer():
 
 def test_beta_one_is_bit_identical():
     cache = fill_layer(make_cache(), 0, n_image=5, n_text=2)
-    before = [hc.keys.copy() for hc in cache.layers[0]]
+    before = [hv.keys.copy() for hv in heads(cache)]
     scores = [np.random.default_rng(1).uniform(0.1, 1, 7) for _ in range(2)]
-    compress_layer(cache.layers[0], scores, CompressionConfig(1.0, 0))
-    for hc, ref in zip(cache.layers[0], before):
-        assert hc.n == 7
-        assert np.array_equal(hc.keys, ref)
+    compress_layer(cache, 0, scores, CompressionConfig(1.0, 0))
+    assert cache.counts[0].tolist() == [7, 7]
+    for hv, ref in zip(heads(cache), before):
+        assert np.array_equal(hv.keys, ref)
 
 
 def test_compress_cumulative_threshold_example():
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=5, n_text=0)
     scores = [np.array([0.5, 0.2, 0.15, 0.1, 0.05])]
-    compress_layer(cache.layers[0], scores, CompressionConfig(0.9, 0))
-    hc = cache.layers[0][0]
-    assert hc.n == 4
-    assert hc.positions.tolist() == [0, 1, 2, 3]
+    compress_layer(cache, 0, scores, CompressionConfig(0.9, 0))
+    assert cache.counts[0, 0] == 4
+    assert cache.head(0, 0).positions.tolist() == [0, 1, 2, 3]
 
 
 def test_per_head_independence_uniform_vs_one_hot():
@@ -100,19 +102,18 @@ def test_per_head_independence_uniform_vs_one_hot():
     uniform = np.full(n, 1.0 / n)
     one_hot = np.zeros(n)
     one_hot[3] = 1.0
-    compress_layer(cache.layers[0], [uniform, one_hot], CompressionConfig(0.9, 0))
-    counts = [hc.n for hc in cache.layers[0]]
+    compress_layer(cache, 0, [uniform, one_hot], CompressionConfig(0.9, 0))
+    counts = cache.counts[0].tolist()
     assert counts[0] == int(np.ceil(0.9 * n))
     assert counts[1] == 1
-    assert cache.layers[0][1].positions.tolist() == [3]
+    assert cache.head(0, 1).positions.tolist() == [3]
 
 
 def test_retained_entries_back_in_position_order():
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=6, n_text=1)
     scores = [np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1, 0.0])]
-    compress_layer(cache.layers[0], scores, CompressionConfig(0.7, 0))
-    hc = cache.layers[0][0]
-    pos = hc.positions.tolist()
+    compress_layer(cache, 0, scores, CompressionConfig(0.7, 0))
+    pos = cache.head(0, 0).positions.tolist()
     assert pos == sorted(pos)
     assert 6 in pos  # text entry survives
 
@@ -120,7 +121,7 @@ def test_retained_entries_back_in_position_order():
 def test_compress_rejects_mismatched_scores():
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=4, n_text=0)
     with pytest.raises(ValueError, match="scores"):
-        compress_layer(cache.layers[0], [np.ones(3)], CompressionConfig(0.9, 0))
+        compress_layer(cache, 0, [np.ones(3)], CompressionConfig(0.9, 0))
 
 
 def test_power_of_two_scaling_keeps_retained_set():
@@ -129,16 +130,16 @@ def test_power_of_two_scaling_keeps_retained_set():
     kept = []
     for k in (0, -40, -1, 1, 40):
         cache = fill_layer(make_cache(n_heads=1), 0, n_image=8, n_text=2)
-        compress_layer(cache.layers[0], [raw * 2.0 ** k], CompressionConfig(0.6, 0))
-        kept.append(cache.layers[0][0].positions.tolist())
+        compress_layer(cache, 0, [raw * 2.0 ** k], CompressionConfig(0.6, 0))
+        kept.append(cache.head(0, 0).positions.tolist())
     assert len(kept[0]) < 10
     assert all(positions == kept[0] for positions in kept)
 
 
 def test_zero_image_mass_compresses_as_uniform():
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=16, n_text=1)
-    compress_layer(cache.layers[0], [np.zeros(17)], CompressionConfig(0.5, 0))
-    assert cache.layers[0][0].positions.tolist() == list(range(8)) + [16]
+    compress_layer(cache, 0, [np.zeros(17)], CompressionConfig(0.5, 0))
+    assert cache.head(0, 0).positions.tolist() == list(range(8)) + [16]
 
 
 @settings(deadline=None, max_examples=60)
@@ -149,8 +150,8 @@ def test_compress_monotone_in_beta(n, seed):
     kept = []
     for beta in (0.3, 0.6, 0.9, 1.0):
         cache = fill_layer(make_cache(n_heads=1), 0, n_image=n, n_text=0)
-        compress_layer(cache.layers[0], [raw], CompressionConfig(beta, 0))
-        kept.append(set(cache.layers[0][0].positions.tolist()))
+        compress_layer(cache, 0, [raw], CompressionConfig(beta, 0))
+        kept.append(set(cache.head(0, 0).positions.tolist()))
     for a, b in zip(kept, kept[1:]):
         assert a <= b
 
@@ -160,9 +161,8 @@ def test_compress_monotone_in_beta(n, seed):
 def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
     cache = fill_layer(make_cache(n_heads=1), 0, n_image=n_image, n_text=n_text, seed=seed)
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, n_image + n_text)
-    compress_layer(cache.layers[0], [raw], CompressionConfig(beta, 0))
-    hc = cache.layers[0][0]
-    assert int((~is_image_segment(hc.segments)).sum()) == n_text
+    compress_layer(cache, 0, [raw], CompressionConfig(beta, 0))
+    assert int((~is_image_segment(cache.head(0, 0).segments)).sum()) == n_text
 
 
 def test_compress_all_respects_start_layer():
@@ -171,15 +171,15 @@ def test_compress_all_respects_start_layer():
         fill_layer(cache, layer, n_image=6, n_text=1, seed=layer)
     scores = [[np.random.default_rng(9).uniform(0.1, 1, 7)] for _ in range(3)]
     compress_all(cache, scores, CompressionConfig(0.5, 1))
-    assert cache.layers[0][0].n == 7
-    assert cache.layers[1][0].n < 7
-    assert cache.layers[2][0].n < 7
+    assert cache.counts[0, 0] == 7
+    assert cache.counts[1, 0] < 7
+    assert cache.counts[2, 0] < 7
 
 
 def test_compress_all_start_at_end_is_noop():
     cache = fill_layer(make_cache(n_layers=1, n_heads=1), 0, n_image=5, n_text=0)
     compress_all(cache, [None], CompressionConfig(0.5, 1))
-    assert cache.layers[0][0].n == 5
+    assert cache.counts[0, 0] == 5
 
 
 def test_compress_all_uniform_scores_same_count_per_layer():
@@ -188,8 +188,7 @@ def test_compress_all_uniform_scores_same_count_per_layer():
         fill_layer(cache, layer, n_image=10, n_text=2, seed=layer)
     scores = [[np.ones(12)] for _ in range(3)]
     compress_all(cache, scores, CompressionConfig(0.5, 0))
-    counts = [lc[0].n for lc in cache.layers]
-    assert len(set(counts)) == 1
+    assert len(set(cache.counts[:, 0].tolist())) == 1
 
 
 def test_compress_all_steeper_scores_retain_fewer():
@@ -200,7 +199,7 @@ def test_compress_all_steeper_scores_retain_fewer():
     base = np.linspace(1.0, 2.0, n)
     scores = [[np.power(base, 8.0 * layer + 1.0)] for layer in range(3)]
     compress_all(cache, scores, CompressionConfig(0.9, 0))
-    counts = [lc[0].n for lc in cache.layers]
+    counts = cache.counts[:, 0].tolist()
     assert counts[0] > counts[1] > counts[2]
 
 
@@ -234,7 +233,7 @@ def test_memory_tracks_retained_fraction():
     one_hot[0] = 1.0
     ten = np.zeros(100)
     ten[:10] = 0.1
-    compress_layer(cache.layers[0], [ten], CompressionConfig(0.999, 0))
+    compress_layer(cache, 0, [ten], CompressionConfig(0.999, 0))
     after = memory_estimate(cache).total
     assert after == before // 10
 
@@ -243,7 +242,7 @@ def test_snapshot_csv(tmp_path):
     cache = make_cache(n_layers=2, n_heads=1)
     fill_layer(cache, 0, 3, 1)
     fill_layer(cache, 1, 3, 1)
-    audit = compress_layer(cache.layers[1], [np.array([0.7, 0.2, 0.1, 0.0])],
+    audit = compress_layer(cache, 1, [np.array([0.7, 0.2, 0.1, 0.0])],
                            CompressionConfig(0.8, 1), audit=True)
     out = tmp_path / "snap.csv"
     dump_snapshot(cache, [None, audit], out)
@@ -259,46 +258,53 @@ def test_snapshot_csv(tmp_path):
 def test_audit_recorded_only_when_asked():
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
     scores = [np.arange(1.0, 8.0)] * 2
-    assert compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0)) is None
+    assert compress_layer(cache, 0, scores, CompressionConfig(0.5, 0)) is None
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
-    audit = compress_layer(cache.layers[0], scores, CompressionConfig(0.5, 0), audit=True)
+    audit = compress_layer(cache, 0, scores, CompressionConfig(0.5, 0), audit=True)
     assert len(audit) == 2
-    for (pos, _, retained, recorded), hc in zip(audit, cache.layers[0]):
+    for (pos, _, retained, recorded), hv in zip(audit, heads(cache)):
         assert pos.tolist() == list(range(7))
-        assert pos[retained].tolist() == hc.positions.tolist()
+        assert pos[retained].tolist() == hv.positions.tolist()
         # image scores are recorded normalized, the text entry's as given
         assert recorded[:6].sum() == pytest.approx(1.0)
         assert recorded[6] == 7.0
     assert scores[0].tolist() == list(np.arange(1.0, 8.0))  # the caller's scores are not normalized in place
 
 
-def test_replace_right_sizes_buffers():
+def test_keep_sizes_buffers_to_the_largest_head():
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=40, n_text=3)
-    full = [(hc.keys.copy(), hc.values.copy()) for hc in cache.layers[0]]
+    full = [(hv.keys.copy(), hv.values.copy()) for hv in heads(cache)]
     rng = np.random.default_rng(5)
     raw = [rng.uniform(0.01, 1.0, 43) ** 4 for _ in range(2)]
-    compress_layer(cache.layers[0], raw, CompressionConfig(0.5, 0))
-    for hc, (keys, values) in zip(cache.layers[0], full):
-        assert hc.n < 43
-        assert hc.capacity == hc.n
-        assert np.array_equal(hc.keys, keys[hc.positions])
-        assert np.array_equal(hc.values, values[hc.positions])
-        assert hc.nbytes == hc.n * (2 * 4 * 4 + 8 + 1)
+    compress_layer(cache, 0, raw, CompressionConfig(0.5, 0))
+    counts = cache.counts[0]
+    assert counts.max() < 43 and counts.min() < counts.max()
+    assert cache.keys[0].shape == (2, counts.max(), 4)
+    for hv, (keys, values) in zip(heads(cache), full):
+        assert np.array_equal(hv.keys, keys[hv.positions])
+        assert np.array_equal(hv.values, values[hv.positions])
+    # the shorter head's padding rows are zeros
+    short = int(counts.argmin())
+    assert not cache.keys[0][short, counts.min():].any()
+    assert not cache.values[0][short, counts.min():].any()
+    assert memory_estimate(cache).allocated == 2 * int(counts.max()) * (2 * 4 * 4 + 8 + 1)
 
 
 def test_grow_adds_an_eighth_of_capacity():
-    hc = HeadCache(head_dim=4)
-    hc.extend(np.zeros((64, 4), np.float32), np.zeros((64, 4), np.float32),
-              np.arange(64), np.full(64, Segment.GENERATED, dtype=np.int8))
-    assert hc.capacity == 64
-    zeros = np.zeros(4, dtype=np.float32)
-    hc.append(zeros, zeros, 64, Segment.GENERATED)
-    assert hc.capacity == 64 + 64 // _GROWTH_DIV
-    assert hc.positions.tolist() == list(range(65))
-    # a bulk extend beyond one growth step gets exactly what it needs
-    hc.extend(np.zeros((100, 4), np.float32), np.zeros((100, 4), np.float32),
-              np.arange(65, 165), np.full(100, Segment.GENERATED, dtype=np.int8))
-    assert hc.capacity == 165
+    cache = make_cache(n_heads=1)
+    cache.extend_layer(0, np.zeros((1, 64, 4), np.float32), np.zeros((1, 64, 4), np.float32),
+                       np.arange(64), np.full(64, Segment.GENERATED, dtype=np.int8))
+    assert cache.keys[0].shape[1] == 64
+    cache.append(0, kv(n_heads=1), kv(n_heads=1), 64, Segment.GENERATED)
+    assert cache.keys[0].shape[1] == 64 + 64 // _GROWTH_DIV
+    assert cache.head(0, 0).positions.tolist() == list(range(65))
+
+
+def test_extend_layer_fills_only_an_empty_layer():
+    cache = fill_layer(make_cache(), 0, n_image=3, n_text=1)
+    with pytest.raises(ValueError, match="already filled"):
+        fill_layer(cache, 0, n_image=3, n_text=1)
+    assert cache.counts[0].tolist() == [4, 4]
 
 
 def test_memory_estimate_allocated_counts_capacity():

@@ -106,10 +106,12 @@ def test_prefill_token_ledger(tiny_model, tiny_seq):
 
 def test_prefill_cache_matches_compression_ledger(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.25, beta=0.6, start_layer=1))
-    for li, lc in enumerate(pre.cache.layers):
-        for hc in lc:
-            n_img = int(((hc.segments == Segment.IMAGE) | (hc.segments == Segment.MERGED_IMAGE)).sum())
-            n_text = hc.n - n_img
+    cache = pre.cache
+    for li in range(cache.n_layers):
+        for h in range(cache.n_heads):
+            segs = cache.head(li, h).segments
+            n_img = int(((segs == Segment.IMAGE) | (segs == Segment.MERGED_IMAGE)).sum())
+            n_text = len(segs) - n_img
             assert n_text == 10
             if li >= 1:
                 assert n_img < [34, 34, 25, 19][li] - 10
@@ -125,15 +127,16 @@ def test_layer_record_on_compressed_prefill(tiny_model, tiny_seq):
     audited = prefill(tiny_model, tiny_seq, p, audit=True)
     assert [r.cache_entries for r in audited.metrics.layers] == pre.cache.entries_per_layer()
     evicted = 0
-    for li, (rec, lc) in enumerate(zip(audited.metrics.layers, audited.cache.layers)):
+    cache = audited.cache
+    for li, rec in enumerate(audited.metrics.layers):
         if li < 1:
             assert rec.evictions is None
             continue
-        assert len(rec.evictions) == len(lc)
-        for (pos, _, retained, _), hc in zip(rec.evictions, lc):
+        assert len(rec.evictions) == cache.n_heads
+        for h, (pos, _, retained, _) in enumerate(rec.evictions):
             # the audit covers every entry the layer cached: the previous layer's exit
             assert len(pos) == audited.metrics.layers[li - 1].tokens
-            assert pos[retained].tolist() == hc.positions.tolist()
+            assert pos[retained].tolist() == cache.head(li, h).positions.tolist()
             evicted += int((~retained).sum())
     assert evicted > 0
 
@@ -145,13 +148,12 @@ def test_prefill_rejects_empty_and_wrong_dim(tiny_model):
 
 def test_decode_grows_cache_by_one_per_step(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(merging=False, compression=False))
-    before = [hc.n for lc in pre.cache.layers for hc in lc]
+    before = pre.cache.counts.copy()
     logits, cache = decode_step(tiny_model, pre.cache, 7)
-    after = [hc.n for lc in cache.layers for hc in lc]
-    assert all(b + 1 == a for b, a in zip(before, after))
+    assert np.array_equal(cache.counts, before + 1)
     assert logits.shape == (64,)
-    for lc in cache.layers:
-        assert lc[0].segments[-1] == Segment.GENERATED
+    for li in range(cache.n_layers):
+        assert cache.head(li, 0).segments[-1] == Segment.GENERATED
 
 
 def test_decode_step_requires_populated_cache(tiny_model):
@@ -293,8 +295,10 @@ def prefill_recording_scores(monkeypatch, model, seq, pipe):
 
 
 def assert_same_cache(a, b):
-    for la, lb in zip(a.layers, b.layers):
-        for ha, hb in zip(la, lb):
+    assert np.array_equal(a.counts, b.counts)
+    for li in range(a.n_layers):
+        for h in range(a.n_heads):
+            ha, hb = a.head(li, h), b.head(li, h)
             assert np.array_equal(ha.positions, hb.positions)
             assert np.array_equal(ha.segments, hb.segments)
             assert ha.keys.tobytes() == hb.keys.tobytes()
@@ -331,8 +335,37 @@ def test_allocated_bytes_bounded_after_prefill_and_decode(tiny_model, tiny_seq, 
         logits, cache = decode_step(tiny_model, cache, tok)
         tok = int(np.argmax(logits))
     est = memory_estimate(cache)
-    heads = [hc for lc in cache.layers for hc in lc]
+    caps = [k.shape[1] for k in cache.keys]
     row = 2 * cache.head_dim * 4 + 8 + 1
-    one_growth_step = sum((hc.capacity // 8 + 1) * row for hc in heads)
+    one_growth_step = sum((cap // 8 + 1) * cache.n_heads * row for cap in caps)
     assert est.allocated <= est.total * 9 / 8 + one_growth_step
-    assert all(hc.capacity <= hc.n + hc.n // 8 + 1 for hc in heads)
+    assert all(cap <= n + n // 8 + 1 for cap, n in zip(caps, cache.counts.min(axis=1)))
+
+
+def test_padding_counts_in_allocated_bytes():
+    # The drawn heads attend almost alike and keep equal counts, so the
+    # queries of each head are sharpened by a different factor: at beta 0.5
+    # the heads then keep different counts, and each layer pads its shorter
+    # heads up to its largest.
+    model = init_model(ModelConfig(n_layers=4, n_heads=4, dim=64, vocab=64, seed=0))
+    for lw in model.layers:
+        for h, scale in enumerate((1, 10, 30, 100)):
+            lw.attn.wq[:, h * 16:(h + 1) * 16] *= scale
+    seq = build_input(4, 48, 6, redundancy=0.5, seed=0, dim=64)
+    pre = prefill(model, seq, pipeline(merging=False, beta=0.5, start_layer=0))
+    counts = pre.cache.counts
+    assert (counts.min(axis=1) < counts.max(axis=1)).all()
+    row = 2 * pre.cache.head_dim * 4 + 8 + 1
+
+    def check(cache, allocated):
+        caps = [k.shape[1] for k in cache.keys]
+        tops = cache.counts.max(axis=1)
+        assert all(cap <= top + top // 8 + 1 for cap, top in zip(caps, tops))
+        assert allocated == sum(cache.n_heads * cap * row for cap in caps)
+
+    check(pre.cache, pre.metrics.allocated_bytes)
+    cache, tok = pre.cache, 0
+    for _ in range(40):
+        logits, cache = decode_step(model, cache, tok)
+        tok = int(np.argmax(logits))
+    check(cache, memory_estimate(cache).allocated)

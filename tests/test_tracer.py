@@ -34,7 +34,7 @@ def test_traced_prefill_and_decode_give_finite_module_metrics(tiny_model, tiny_s
     metrics = spans.module_metrics(tracer.spans, tiny_model.config.dim, {0})
     assert metrics and all(math.isfinite(v) for v in metrics.values())
     assert metrics["merge.calls"] == 3
-    assert metrics["attention.decode_calls_per_token"] == tiny_model.config.n_layers * tiny_model.config.n_heads
+    assert metrics["attention.decode_calls_per_token"] == tiny_model.config.n_layers
 
 
 def test_benchmark_request_path_runs_on_the_engine(tiny_model, tiny_seq):
