@@ -16,22 +16,24 @@ from typing import Optional
 
 import numpy as np
 
-from .config import EngineConfig
+from .config import EngineConfig, PipelineSettings
 from .kvcache import coverage_prefix
 from .merge import Segment
 from .model import Model, PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
 
-# bench variant -> (merging, compression) for `PipelineSettings.build`, where
-# off builds None; vanilla first, since every other row's speedup is against it
-VARIANT_FLAGS = {
-    "vanilla": (False, False),
-    "merge-only": (True, False),
-    "cache-only": (False, True),
-    "full": (True, True),
-}
 _REPETITIONS = 5
 # cumulative attention-mass levels reported by analyze
 _THRESHOLDS = (0.90, 0.95, 0.99)
+
+
+def variants(settings: PipelineSettings) -> dict[str, PipelineConfig]:
+    """The four bench variants, vanilla first, since every other row's speedup
+    is against it."""
+    full = settings.build()
+    return {"vanilla": replace(full, merge_schedule=None, compression=None),
+            "merge-only": replace(full, compression=None),
+            "cache-only": replace(full, merge_schedule=None),
+            "full": full}
 
 
 def _build_seq(cfg: EngineConfig, seed: Optional[int] = None):
@@ -96,10 +98,9 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
     rows = []
     vanilla_total: dict[int, float] = {}
 
-    for variant, (merging, compression) in VARIANT_FLAGS.items():
-        pipeline = cfg.pipeline.build(merging=merging, compression=compression)
-        keep = cfg.pipeline.keep_ratio if merging else 1.0
-        beta = cfg.pipeline.beta if compression else 1.0
+    for variant, pipeline in variants(cfg.pipeline).items():
+        keep = pipeline.merge_schedule.target_ratio if pipeline.merge_schedule else 1.0
+        beta = pipeline.compression.beta if pipeline.compression else 1.0
         for length in cfg.bench.lengths:
             runs = _timed_runs(model, seq, pipeline, length)
             prefill_ms = statistics.median(r.prefill_ms for r in runs)
@@ -146,11 +147,10 @@ def do_sweep(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
     """Run the keep_ratio x beta grid, one cell after another."""
     bench = cfg.bench
     model = init_model(cfg.model)
-    disabled = cfg.pipeline.build(merging=False, compression=False)
     vanilla_ids = []
     for i in range(bench.seeds):
         seq = _build_seq(cfg, seed=cfg.input.seed + i)
-        vanilla_ids.append(generate(model, seq, disabled, bench.max_new)[0])
+        vanilla_ids.append(generate(model, seq, PipelineConfig(None, None), bench.max_new)[0])
 
     rows = [_sweep_cell(cfg, model, kr, b, vanilla_ids)
             for kr in bench.keep_ratios for b in bench.betas]
@@ -184,7 +184,7 @@ def do_analyze(cfg: EngineConfig, out: Optional[str] = None) -> tuple[list[list]
         norm = scores / scores.sum()
         for t in _THRESHOLDS:
             # the rule compression applies to one head's image entries
-            k = coverage_prefix(norm, np.arange(n), t).size
+            k = int(coverage_prefix(norm[None], t).sum())
             curve_rows.append([li, _fmt(t), k, n, f"{k / n:.4f}"])
 
     original_image_positions = seq.positions[seq.segments == Segment.IMAGE]

@@ -45,12 +45,10 @@ class PipelineSettings:
     beta: float = CompressionConfig().beta
     start_layer: int = CompressionConfig().start_layer
 
-    def build(self, merging: bool = True, compression: bool = True) -> PipelineConfig:
-        """The engine pipeline; a mechanism switched off here is `None` there."""
-        return PipelineConfig(
-            MergeSchedule(self.merge_layers, self.keep_ratio) if merging else None,
-            CompressionConfig(self.beta, self.start_layer) if compression else None,
-        )
+    def build(self) -> PipelineConfig:
+        """The engine pipeline, with merging and compression on."""
+        return PipelineConfig(MergeSchedule(self.merge_layers, self.keep_ratio),
+                              CompressionConfig(self.beta, self.start_layer))
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,17 @@ live count in `counts` `(L, H)`. Head h of layer l holds its entries in
 rows `[:counts[l, h]]`; the rows past its count are zeros, so a
 masked-out row never carries NaN into a weighted sum.
 
-Compression keeps, per head, the shortest descending-score prefix of
-image entries whose attention mass, normalized over the head's image
-entries, reaches beta (`coverage_prefix`); everything else image-kind is
-evicted. Text entries are never evicted. Retained entries go back in
+Compression runs on a layer whose heads hold the same entries, as
+prefill leaves it, in one pass over all heads: one `(H, n)` retained
+mask keeps, per head, the shortest descending-score prefix of image
+entries whose attention mass, normalized over the head's image entries,
+reaches beta (`coverage_prefix`); everything else image-kind is evicted.
+Text entries are never evicted. Retained entries go back in
 original-position order.
 
-Eviction frees memory: each head's kept rows are gathered into new
-buffers sized to the layer's largest head, and the old ones are released.
+Eviction frees memory: `KVCache.keep` gathers each head's retained rows
+into new buffers sized to the layer's largest head, and the old ones are
+released.
 Appends grow a full layer by an eighth of its capacity (`_GROWTH_DIV`),
 not by doubling, so a layer holds at most ~1/8 more rows than its
 largest head. Every buffer is allocated in this module.
@@ -31,10 +34,6 @@ from .merge import Segment, is_image_segment
 
 # A full buffer grows by capacity // _GROWTH_DIV rows (at least what is needed).
 _GROWTH_DIV = 8
-
-# One head's eviction audit over the entries present before eviction:
-# (positions, segments, retained flags, scores).
-HeadAudit = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,14 @@ class HeadView(NamedTuple):
     values: np.ndarray
     positions: np.ndarray   # (n,), and segments too
     segments: np.ndarray
+
+
+class LayerAudit(NamedTuple):
+    """One compressed layer's eviction, over the n entries it held before."""
+    positions: np.ndarray   # (n,), the same in every head, and segments too
+    segments: np.ndarray
+    retained: np.ndarray    # (H, n) bool
+    scores: np.ndarray      # (H, n) float64, image scores normalized per head
 
 
 class KVCache:
@@ -143,14 +150,12 @@ class KVCache:
         self.counts[layer] = shape[1]
         self._last[layer] = int(positions.max(initial=-1))
 
-    def keep(self, layer: int, rows: Sequence[np.ndarray]) -> None:
-        """Keep only `rows[h]` (ascending row indices) of each head h of a layer,
-        gathered into new buffers sized to the layer's largest head."""
-        counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
+    def keep(self, layer: int, retained: np.ndarray) -> None:
+        """Keep only the entries `retained` (H, n) marks in each head of a layer,
+        in row order, gathered into new buffers sized to the layer's largest head."""
+        counts = retained.sum(axis=1)
         n = int(counts.max())
-        idx = np.zeros((self.n_heads, n), dtype=np.int64)
-        for h, r in enumerate(rows):
-            idx[h, :r.shape[0]] = r
+        idx = np.argsort(~retained, axis=1, kind="stable")[:, :n]
         pad = np.arange(n) >= counts[:, None]
         for field in self._fields():
             buf = field[layer][self._heads[:, None], idx]
@@ -165,74 +170,62 @@ class KVCache:
         return self.counts.sum(axis=1).tolist()
 
 
-def coverage_prefix(scores: np.ndarray, candidates: np.ndarray, beta: float) -> np.ndarray:
-    """Shortest descending-score prefix of `candidates` whose scores sum to >= beta.
+def coverage_prefix(scores: np.ndarray, beta: float) -> np.ndarray:
+    """Per row of `scores` (R, m), the shortest descending-score prefix whose
+    scores sum to >= beta, as an (R, m) mask.
 
-    `scores` are float64 and normalized over the candidates, so beta reads
-    as a fraction of their mass. Ties rank the lower index first. The
-    kept indices come back in ascending order; all of them if the
-    candidates' mass never reaches beta.
+    `scores` are float64 and normalized per row, so beta reads as a
+    fraction of the row's mass. Ties rank the lower index first. A row
+    whose mass never reaches beta keeps all of its entries.
     """
-    s = scores[candidates]
-    order = np.lexsort((candidates, -s))
-    cum = np.cumsum(s[order])
-    hit = np.flatnonzero(cum >= beta)
-    k = int(hit[0]) + 1 if hit.size else order.shape[0]
-    return candidates[np.sort(order[:k])]
+    order = np.argsort(-scores, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(scores, order, axis=1), axis=1)
+    k = (cum < beta).sum(axis=1, keepdims=True) + 1
+    kept = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(kept, order, np.arange(scores.shape[1]) < k, axis=1)
+    return kept
 
 
-def compress_layer(cache: KVCache, layer: int, raw_scores: Sequence[np.ndarray],
-                   config: CompressionConfig, audit: bool = False) -> Optional[list[HeadAudit]]:
+def compress_layer(cache: KVCache, layer: int, raw_scores: np.ndarray,
+                   config: CompressionConfig, audit: bool = False) -> Optional[LayerAudit]:
     """Compress one layer of the cache in place, each head independently.
 
-    `raw_scores[h]` holds one nonnegative score per entry of head h. Each
-    head's image-entry scores are normalized to sum to 1 (uniform if they
-    sum to 0), so beta reads as a fraction of the head's image attention
-    mass; the head then keeps its `coverage_prefix` of image entries and
-    every other entry.
+    `raw_scores` (H, n) holds one nonnegative score per head and entry;
+    every head must hold the same n entries, as `extend_layer` leaves
+    them. Each head's image-entry scores are normalized to sum to 1
+    (uniform if they sum to 0), so beta reads as a fraction of the head's
+    image attention mass; the head then keeps its `coverage_prefix` of
+    image entries and every other entry.
 
-    With `audit`, returns each head's positions, segments, retained flags
-    and normalized scores over the entries present before eviction;
-    otherwise None.
+    With `audit`, returns the layer's `LayerAudit`; otherwise None.
     """
-    if len(raw_scores) != cache.n_heads:
-        raise ValueError(f"{len(raw_scores)} score vectors for {cache.n_heads} heads")
-    records = [] if audit else None
-    rows = []
-    for h in range(cache.n_heads):
-        hv = cache.head(layer, h)
-        n = hv.positions.shape[0]
-        scores = np.array(raw_scores[h], dtype=np.float64).reshape(-1)
-        if scores.shape[0] != n:
-            raise ValueError(f"head {h}: {scores.shape[0]} scores for {n} cache entries")
-        if scores.size and scores.min() < 0:
-            raise ValueError(f"head {h}: scores must be nonnegative")
-        img = np.flatnonzero(is_image_segment(hv.segments))
-        mass = scores[img].sum()
-        if img.size and mass > 0:
-            scores[img] /= mass
-        elif img.size:
-            scores[img] = 1.0 / img.size
-        if config.beta >= 1.0 or img.size == 0:
-            keep_img = img
-        else:
-            keep_img = coverage_prefix(scores, img, config.beta)
-        retained = np.ones(n, dtype=bool)
-        retained[img] = False
-        retained[keep_img] = True
-        if audit:
-            records.append((hv.positions.copy(), hv.segments.copy(), retained, scores))
-        rows.append(np.flatnonzero(retained))
-    if sum(r.shape[0] for r in rows) < cache.counts[layer].sum():
-        cache.keep(layer, rows)
-    return records
+    n = int(cache.counts[layer, 0])
+    positions, segments = cache.positions[layer][:, :n], cache.segments[layer][:, :n]
+    if (cache.counts[layer] != n).any() or (positions != positions[0]).any() or (segments != segments[0]).any():
+        raise ValueError(f"layer {layer}: heads hold different entries")
+    scores = np.array(raw_scores, dtype=np.float64)
+    if scores.shape != (cache.n_heads, n):
+        raise ValueError(f"scores of shape {scores.shape} for {cache.n_heads} heads of {n} cache entries")
+    if (scores < 0).any():
+        raise ValueError("scores must be nonnegative")
+    img = np.flatnonzero(is_image_segment(segments[0]))
+    image = scores[:, img]
+    mass = image.sum(axis=1, keepdims=True)
+    image = np.divide(image, mass, out=np.full_like(image, 1.0 / max(img.size, 1)), where=mass > 0)
+    scores[:, img] = image
+    retained = np.ones(scores.shape, dtype=bool)
+    if config.beta < 1.0:
+        retained[:, img] = coverage_prefix(image, config.beta)
+    if not retained.all():
+        cache.keep(layer, retained)
+    return LayerAudit(positions[0].copy(), segments[0].copy(), retained, scores) if audit else None
 
 
-def compress_all(cache: KVCache, scores: Sequence[Optional[Sequence[np.ndarray]]],
+def compress_all(cache: KVCache, scores: Sequence[Optional[np.ndarray]],
                  config: CompressionConfig) -> KVCache:
     """Compress every layer >= start_layer with one shared beta.
 
-    scores[layer][head] gives one raw score per cache entry; see
+    scores[layer] gives one raw score per head and cache entry; see
     `compress_layer`.
     """
     if len(scores) < cache.n_layers:
@@ -257,24 +250,24 @@ def memory_estimate(cache: KVCache) -> MemoryEstimate:
     return MemoryEstimate(total, allocated)
 
 
-def dump_snapshot(cache: KVCache, audits: Sequence[Optional[list[HeadAudit]]], path) -> None:
+def dump_snapshot(cache: KVCache, audits: Sequence[Optional[LayerAudit]], path) -> None:
     """Debug CSV: one row per layer/head/entry with retention info.
 
-    `audits[layer]` is the per-head audit that compression returned for
-    that layer, or None. A layer with an audit reports every entry it
-    held before eviction; a layer without one reports its live entries
-    as retained with an empty score field.
+    `audits[layer]` is the audit that compression returned for that
+    layer, or None. A layer with an audit reports every entry it held
+    before eviction; a layer without one reports its live entries as
+    retained with an empty score field.
     """
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "head", "position", "segment", "retained", "score"])
         for li, audit in zip(range(cache.n_layers), audits, strict=True):
-            if audit is not None:
-                for h, (pos, seg, ret, sc) in enumerate(audit):
-                    for p, s, r, v in zip(pos, seg, ret, sc):
+            for h in range(cache.n_heads):
+                if audit is not None:
+                    for p, s, r, v in zip(audit.positions, audit.segments,
+                                          audit.retained[h], audit.scores[h]):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), int(r), f"{v:.8g}"])
-            else:
-                for h in range(cache.n_heads):
+                else:
                     hv = cache.head(li, h)
                     for p, s in zip(hv.positions, hv.segments):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), 1, ""])

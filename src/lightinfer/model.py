@@ -14,7 +14,7 @@ compressed.
 
 Prefill leaves one `LayerRecord` per layer in `RunMetrics.layers`: token
 counts, cache entries, image-token importance, the merge stage's
-survivors and, when asked, each head's eviction audit.
+survivors and, when asked, the layer's eviction audit.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .attention import AttentionWeights, multi_head_attention, attend_single_que
 # compress_all and partition_tokens stay bound here: the benchmark tracer wraps them by name.
 from .kvcache import (
     CompressionConfig,
-    HeadAudit,
     KVCache,
+    LayerAudit,
     compress_all,  # noqa: F401
     compress_layer,
     memory_estimate,
@@ -98,8 +98,8 @@ class LayerRecord:
     importance: np.ndarray         # head-averaged score of each image token attended over
     # merge layers only: original positions of the image tokens that survived unmerged
     kept_positions: Optional[np.ndarray] = None
-    # compressed layers, only when prefill is asked to audit: one entry per head
-    evictions: Optional[list[HeadAudit]] = None
+    # compressed layers, only when prefill is asked to audit
+    evictions: Optional[LayerAudit] = None
 
 
 @dataclass
@@ -259,8 +259,8 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
             audit: bool = False) -> PrefillResult:
     """Run every layer over the input, merging and compressing as configured.
 
-    `audit` stores each compressed layer's per-head eviction audit in
-    its `LayerRecord.evictions`, for `dump_snapshot`.
+    `audit` stores each compressed layer's eviction audit in its
+    `LayerRecord.evictions`, for `dump_snapshot` and the decode oracle.
     """
     if len(seq) < 1:
         raise ValueError("prefill input must be nonempty")

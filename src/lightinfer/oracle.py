@@ -7,7 +7,7 @@ demand. Nothing here shares code with the optimized paths.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,13 +32,18 @@ def naive_weighted_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarr
     return out
 
 
-def full_attention(hidden: np.ndarray, weights: AttentionWeights
+def full_attention(hidden: np.ndarray, weights: AttentionWeights,
+                   evicted: Optional[np.ndarray] = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Causal multi-head attention with every score materialized.
 
     Returns (context (N, C), per-key cumulative scores (H, N), per-head
     score matrices (H, N, N)). The engine's blockwise path must match the
     first two up to float reordering.
+
+    `evicted` (H, P) marks, per head, keys among the first P rows (the
+    prefill) that no later row may attend to: rows from P on are the
+    generated tokens, which decode from a compressed cache.
     """
     hidden = np.asarray(hidden, dtype=np.float32)
     n, c = hidden.shape
@@ -50,8 +55,12 @@ def full_attention(hidden: np.ndarray, weights: AttentionWeights
 
     q, k, v = heads(weights.wq), heads(weights.wk), heads(weights.wv)
     logits = (q @ k.transpose(0, 2, 1)) * np.float32(1.0 / np.sqrt(hd))
-    future = np.triu(np.ones((n, n), dtype=bool), k=1)
-    logits = np.where(future[None, :, :], np.float32(-np.inf), logits)
+    masked = np.triu(np.ones((n, n), dtype=bool), k=1)[None]
+    if evicted is not None:
+        p = evicted.shape[1]
+        masked = masked.repeat(h, axis=0)
+        masked[:, p:, :p] = evicted[:, None, :]
+    logits = np.where(masked, np.float32(-np.inf), logits)
     logits -= logits.max(axis=2, keepdims=True)
     e = np.exp(logits)
     scores = e / e.sum(axis=2, keepdims=True)
@@ -59,12 +68,15 @@ def full_attention(hidden: np.ndarray, weights: AttentionWeights
     return context, scores.sum(axis=1), scores
 
 
-def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig) -> np.ndarray:
+def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
+                      retained: Optional[Sequence[Optional[np.ndarray]]] = None) -> np.ndarray:
     """Full forward over the whole sequence, merge decisions replayed.
 
     Merge importance is restricted to non-generated query rows, so a
     longer sequence reproduces exactly the decisions the engine made at
     prefill time (causal rows are unaffected by appended tokens).
+    `retained[layer]` (H, P), where given, hides each head's evicted
+    prefill keys from the generated rows.
     """
     schedule = pipeline.merge_schedule
     keep_counts = schedule.keep_counts(seq.n_image) if schedule is not None else {}
@@ -72,11 +84,15 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
     hidden, segs, poss = seq.embeddings, seq.segments, seq.positions
     for li, lw in enumerate(model.layers):
         x = layer_norm(hidden)
-        context, _, scores = full_attention(x, lw.attn)
+        prefill_rows = segs != Segment.GENERATED
+        keep = None if retained is None else retained[li]
+        if keep is not None and keep.shape != (lw.attn.n_heads, int(prefill_rows.sum())):
+            raise ValueError(f"layer {li}: retained mask of shape {keep.shape} for "
+                             f"{int(prefill_rows.sum())} prefill rows")
+        context, _, scores = full_attention(x, lw.attn, None if keep is None else ~keep)
         hidden = hidden + context
         hidden = hidden + _mlp(layer_norm(hidden), lw)
         if li in keep_counts:
-            prefill_rows = segs != Segment.GENERATED
             col_sums = scores[:, prefill_rows, :].sum(axis=1)
             importance = col_sums.mean(axis=0)[is_image_segment(segs)]
             merged = pyramid_merge_layer(TokenSequence(hidden, segs, poss), importance,
@@ -86,16 +102,25 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
 
 
 def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
-                          n_steps: int) -> list[int]:
-    """Greedy decode with no KV cache: rerun the whole stack each step."""
-    if pipeline.compression is not None:
-        raise ValueError("full_recompute_decode requires compression=None")
+                          n_steps: int,
+                          retained: Optional[Sequence[Optional[np.ndarray]]] = None) -> list[int]:
+    """Greedy decode with no KV cache: rerun the whole stack each step.
+
+    Compressed decode is replayed from `retained`: per layer, the (H, P)
+    mask of the prefill entries each head kept, or None for a layer that
+    kept all of them (`[None if r.evictions is None else r.evictions.retained
+    for r in prefill(..., audit=True).metrics.layers]`).
+    """
+    if retained is None and pipeline.compression is not None:
+        raise ValueError("full_recompute_decode requires compression=None or retained masks")
+    if retained is not None and len(retained) != len(model.layers):
+        raise ValueError(f"{len(retained)} retained masks for {len(model.layers)} layers")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
     ids: list[int] = []
     cur = seq
-    logits = _forward_no_cache(model, cur, pipeline)
+    logits = _forward_no_cache(model, cur, pipeline, retained)
     for step in range(n_steps):
         tok = int(np.argmax(logits))
         ids.append(tok)
@@ -106,6 +131,6 @@ def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineCo
             np.concatenate([cur.segments, np.array([Segment.GENERATED], dtype=np.int8)]),
             np.concatenate([cur.positions, np.array([int(cur.positions.max()) + 1], dtype=np.int64)]),
         )
-        logits = _forward_no_cache(model, cur, pipeline)
+        logits = _forward_no_cache(model, cur, pipeline, retained)
     return ids
 

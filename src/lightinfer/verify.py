@@ -120,6 +120,34 @@ def check_cache_decode_equivalence() -> tuple[bool, str]:
     return True, "10 seeds x 8 steps, merging on and off, ids exactly equal"
 
 
+def check_compressed_decode_equivalence() -> tuple[bool, str]:
+    """Cached greedy decode from a compressed cache equals the no-cache oracle
+    replaying the same evictions, with and without merging."""
+    betas = (0.08, 0.5, 0.9)
+    least = 1.0
+    for seed in range(10):
+        model = _small_model(seed, 5)
+        seq = build_input(6, 48, 10, redundancy=0.5, seed=2000 + seed, dim=64)
+        for beta in betas:
+            for merging in (False, True):
+                schedule = MergeSchedule((1, 2, 3), 0.4) if merging else None
+                pipe = PipelineConfig(schedule, CompressionConfig(beta, 1))
+                retained = [None if r.evictions is None else r.evictions.retained
+                            for r in prefill(model, seq, pipe, audit=True).metrics.layers]
+                masks = [m for m in retained if m is not None]
+                evicted = sum(int((~m).sum()) for m in masks) / sum(m.size for m in masks)
+                case = f"seed {seed} beta={beta} merging={merging}"
+                if evicted == 0:
+                    return False, f"{case}: no entry evicted"
+                least = min(least, evicted)
+                ids_fast, _ = generate(model, seq, pipe, 8)
+                ids_ref = full_recompute_decode(model, seq, pipe, 8, retained)
+                if ids_fast != ids_ref:
+                    return False, f"{case}: cached {ids_fast} != recompute {ids_ref}"
+    return True, (f"10 seeds x betas {betas} x 8 steps, merging on and off, ids exactly equal; "
+                  f"at least {least:.1%} of compressed entries evicted in every case")
+
+
 def _single_head_layer(scores: np.ndarray) -> KVCache:
     """One head holding an image entry per score, then two text entries."""
     n_img = scores.shape[0]
@@ -347,6 +375,7 @@ FAST_CHECKS: dict[str, Check] = {
     "identity_configuration": check_identity_configuration,
     "merge_oracle_equivalence": check_merge_oracle_equivalence,
     "cache_decode_equivalence": check_cache_decode_equivalence,
+    "compressed_decode_equivalence": check_compressed_decode_equivalence,
     "coverage_minimality": check_coverage_minimality,
     "token_ledger": check_token_ledger,
     "memory_ledger": check_memory_ledger,

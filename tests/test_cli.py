@@ -13,7 +13,7 @@ from lightinfer import verify as verify_mod
 from lightinfer.config import EngineConfig, load_config
 from lightinfer.kvcache import CompressionConfig, KVCache, compress_layer
 from lightinfer.merge import Segment
-from lightinfer.model import LayerRecord, generate, init_model
+from lightinfer.model import LayerRecord, PipelineConfig, generate, init_model
 
 BASE_CONFIG = """
 [model]
@@ -72,7 +72,7 @@ def test_run_identity_matches_vanilla(tmp_path, capsys):
     ids_a = output_tokens_line(capsys.readouterr().out)
     cfg = load_config(cfg_id)
     ids_b, _ = generate(init_model(cfg.model), bench_mod._build_seq(cfg),
-                        cfg.pipeline.build(merging=False, compression=False), cfg.bench.max_new)
+                        PipelineConfig(None, None), cfg.bench.max_new)
     assert ids_a == "output_tokens=" + " ".join(map(str, ids_b))
 
 

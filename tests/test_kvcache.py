@@ -15,6 +15,7 @@ from lightinfer.kvcache import (
     memory_estimate,
 )
 from lightinfer.merge import Segment, is_image_segment
+from lightinfer.verify import _minimal_coverage_prefix
 
 
 def make_cache(n_layers=1, n_heads=2, head_dim=4):
@@ -165,6 +166,33 @@ def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
     assert int((~is_image_segment(cache.head(0, 0).segments)).sum()) == n_text
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 3),
+       st.sampled_from([0.3, 0.5, 0.75, 0.9, 0.999]), st.integers(0, 2**31 - 1))
+def test_batched_rule_matches_minimal_prefix_per_head(n_heads, n_image, n_text, beta, seed):
+    # small integer scores make ties, and all-zero image mass, common
+    cache = fill_layer(make_cache(n_heads=n_heads), 0, n_image=n_image, n_text=n_text, seed=seed)
+    raw = np.random.default_rng(seed).integers(0, 4, (n_heads, n_image + n_text)).astype(float)
+    audit = compress_layer(cache, 0, raw, CompressionConfig(beta, 0), audit=True)
+    for h in range(n_heads):
+        img = raw[h, :n_image]
+        norm = img / img.sum() if img.sum() > 0 else np.full(n_image, 1.0 / max(n_image, 1))
+        expect = _minimal_coverage_prefix(norm, beta)
+        assert set(np.flatnonzero(audit.retained[h, :n_image]).tolist()) == expect
+        assert audit.retained[h, n_image:].all()
+        assert cache.head(0, h).positions.tolist() == sorted(expect) + list(range(n_image, n_image + n_text))
+
+
+def test_compress_rejects_heads_with_different_entries():
+    cache = fill_layer(make_cache(n_heads=2), 0, n_image=5, n_text=1)
+    onehot = np.eye(6)
+    compress_layer(cache, 0, [onehot[0], onehot[4]], CompressionConfig(0.5, 0))
+    assert [hv.positions.tolist() for hv in heads(cache)] == [[0, 5], [4, 5]]
+    with pytest.raises(ValueError, match="heads hold different entries"):
+        compress_layer(cache, 0, np.ones((2, 2)), CompressionConfig(0.5, 0))
+    assert [hv.positions.tolist() for hv in heads(cache)] == [[0, 5], [4, 5]]
+
+
 def test_compress_all_respects_start_layer():
     cache = make_cache(n_layers=3, n_heads=1)
     for layer in range(3):
@@ -261,10 +289,10 @@ def test_audit_recorded_only_when_asked():
     assert compress_layer(cache, 0, scores, CompressionConfig(0.5, 0)) is None
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
     audit = compress_layer(cache, 0, scores, CompressionConfig(0.5, 0), audit=True)
-    assert len(audit) == 2
-    for (pos, _, retained, recorded), hv in zip(audit, heads(cache)):
-        assert pos.tolist() == list(range(7))
-        assert pos[retained].tolist() == hv.positions.tolist()
+    assert audit.positions.tolist() == list(range(7))
+    assert audit.retained.shape == audit.scores.shape == (2, 7)
+    for retained, recorded, hv in zip(audit.retained, audit.scores, heads(cache)):
+        assert audit.positions[retained].tolist() == hv.positions.tolist()
         # image scores are recorded normalized, the text entry's as given
         assert recorded[:6].sum() == pytest.approx(1.0)
         assert recorded[6] == 7.0

@@ -132,12 +132,13 @@ def test_layer_record_on_compressed_prefill(tiny_model, tiny_seq):
         if li < 1:
             assert rec.evictions is None
             continue
-        assert len(rec.evictions) == cache.n_heads
-        for h, (pos, _, retained, _) in enumerate(rec.evictions):
-            # the audit covers every entry the layer cached: the previous layer's exit
-            assert len(pos) == audited.metrics.layers[li - 1].tokens
-            assert pos[retained].tolist() == cache.head(li, h).positions.tolist()
-            evicted += int((~retained).sum())
+        pos, retained = rec.evictions.positions, rec.evictions.retained
+        assert retained.shape == (cache.n_heads, len(pos))
+        # the audit covers every entry the layer cached: the previous layer's exit
+        assert len(pos) == audited.metrics.layers[li - 1].tokens
+        for h in range(cache.n_heads):
+            assert pos[retained[h]].tolist() == cache.head(li, h).positions.tolist()
+        evicted += int((~retained).sum())
     assert evicted > 0
 
 

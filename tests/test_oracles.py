@@ -71,7 +71,7 @@ def mass_curve(scores, thresholds):
     """k per threshold, as `analyze` counts it: the coverage prefix of the normalized scores."""
     s = np.asarray(scores, dtype=np.float64)
     norm = s / s.sum()
-    return [coverage_prefix(norm, np.arange(s.size), t).size for t in thresholds]
+    return [int(coverage_prefix(norm[None], t).sum()) for t in thresholds]
 
 
 def test_mass_curve_uniform():
