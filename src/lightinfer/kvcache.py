@@ -6,17 +6,14 @@ live count in `counts` `(L, H)`. Head h of layer l holds its entries in
 rows `[:counts[l, h]]`; the rows past its count are zeros, so a
 masked-out row never carries NaN into a weighted sum.
 
-Compression runs on a layer whose heads hold the same entries, as
-prefill leaves it, in one pass over all heads: one `(H, n)` retained
-mask keeps, per head, the shortest descending-score prefix of image
-entries whose attention mass, normalized over the head's image entries,
-reaches beta (`coverage_prefix`); everything else image-kind is evicted.
-Text entries are never evicted. Retained entries go back in
-original-position order.
+Compression decides before a layer is written, and the cache stores
+only what it keeps. `retention` maps a layer's per-head scores to one
+`(H, n)` retained mask: per head, the shortest descending-score prefix
+of image entries whose attention mass, normalized over the head's image
+entries, reaches beta (`coverage_prefix`), and every text entry.
+`KVCache.extend_layer` gathers each head's retained entries, in
+original-position order, into buffers sized to the layer's largest head.
 
-Eviction frees memory: `KVCache.keep` gathers each head's retained rows
-into new buffers sized to the layer's largest head, and the old ones are
-released.
 Appends grow a full layer by an eighth of its capacity (`_GROWTH_DIV`),
 not by doubling, so a layer holds at most ~1/8 more rows than its
 largest head. Every buffer is allocated in this module.
@@ -57,7 +54,7 @@ class HeadView(NamedTuple):
 
 
 class LayerAudit(NamedTuple):
-    """One compressed layer's eviction, over the n entries it held before."""
+    """One compressed layer's eviction, over the n entries prefill brought to it."""
     positions: np.ndarray   # (n,), the same in every head, and segments too
     segments: np.ndarray
     retained: np.ndarray    # (H, n) bool
@@ -82,7 +79,7 @@ class KVCache:
         self.positions = [np.zeros((n_heads, 0), np.int64) for _ in range(n_layers)]
         self.segments = [np.zeros((n_heads, 0), np.int8) for _ in range(n_layers)]
         self.counts = np.zeros((n_layers, n_heads), dtype=np.int64)
-        # The last position written to each layer; eviction leaves it as it is.
+        # The last position brought to each layer, whether its entry was kept or not.
         self._last = [-1] * n_layers
         self._heads = np.arange(n_heads)
 
@@ -129,13 +126,18 @@ class KVCache:
         self._last[layer] = position
 
     def extend_layer(self, layer: int, keys: np.ndarray, values: np.ndarray,
-                     positions: np.ndarray, segments: np.ndarray) -> None:
-        """Fill an empty layer during prefill, with the same entries in every head.
+                     positions: np.ndarray, segments: np.ndarray,
+                     retained: Optional[np.ndarray] = None) -> None:
+        """Fill an empty layer during prefill from its n entries, keys and
+        values (H, n, hd): every head holds all n, or with `retained` (H, n)
+        only the entries its row marks, in row order.
 
         Positions must be non-decreasing: merged tokens may share a
         position slot with the token after them, so strict ordering is
         only enforced on the single-entry decode path.
         """
+        if not 0 <= layer < self.n_layers:
+            raise ValueError(f"layer {layer} out of range [0, {self.n_layers})")
         if self.counts[layer].any():
             raise ValueError(f"layer {layer} is already filled")
         positions = np.asarray(positions, dtype=np.int64)
@@ -143,25 +145,25 @@ class KVCache:
         if np.any(np.diff(positions) < 0):
             raise ValueError(f"prefill positions must be non-decreasing (layer {layer})")
         shape = (self.n_heads, positions.shape[0], self.head_dim)
-        self.keys[layer] = np.array(keys, np.float32, order="C").reshape(shape)
-        self.values[layer] = np.array(values, np.float32, order="C").reshape(shape)
-        self.positions[layer] = positions[None].repeat(self.n_heads, axis=0)
-        self.segments[layer] = segments[None].repeat(self.n_heads, axis=0)
-        self.counts[layer] = shape[1]
-        self._last[layer] = int(positions.max(initial=-1))
-
-    def keep(self, layer: int, retained: np.ndarray) -> None:
-        """Keep only the entries `retained` (H, n) marks in each head of a layer,
-        in row order, gathered into new buffers sized to the layer's largest head."""
-        counts = retained.sum(axis=1)
-        n = int(counts.max())
-        idx = np.argsort(~retained, axis=1, kind="stable")[:, :n]
-        pad = np.arange(n) >= counts[:, None]
-        for field in self._fields():
-            buf = field[layer][self._heads[:, None], idx]
-            buf[pad] = 0
+        sources = [np.asarray(a, np.float32).reshape(shape) for a in (keys, values)]
+        sources += [np.broadcast_to(a, shape[:2]) for a in (positions, segments)]
+        if retained is None:
+            bufs = [np.array(src, order="C") for src in sources]
+            counts = shape[1]
+        else:
+            if retained.shape != shape[:2]:
+                raise ValueError(f"retained mask of shape {retained.shape} for (H, n) = {shape[:2]}")
+            counts = retained.sum(axis=1)
+            n = int(counts.max())
+            rows = self._heads[:, None], np.argsort(~retained, axis=1, kind="stable")[:, :n]
+            pad = np.arange(n) >= counts[:, None]
+            bufs = [src[rows] for src in sources]
+            for buf in bufs:
+                buf[pad] = 0
+        for field, buf in zip(self._fields(), bufs):
             field[layer] = buf
         self.counts[layer] = counts
+        self._last[layer] = int(positions.max(initial=-1))
 
     def next_position(self) -> int:
         return max(self._last) + 1
@@ -186,29 +188,26 @@ def coverage_prefix(scores: np.ndarray, beta: float) -> np.ndarray:
     return kept
 
 
-def compress_layer(cache: KVCache, layer: int, raw_scores: np.ndarray,
-                   config: CompressionConfig, audit: bool = False) -> Optional[LayerAudit]:
-    """Compress one layer of the cache in place, each head independently.
+def retention(raw_scores: np.ndarray, segments: np.ndarray,
+              config: CompressionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Which of a layer's n entries each head keeps, decided from its raw scores.
 
-    `raw_scores` (H, n) holds one nonnegative score per head and entry;
-    every head must hold the same n entries, as `extend_layer` leaves
-    them. Each head's image-entry scores are normalized to sum to 1
-    (uniform if they sum to 0), so beta reads as a fraction of the head's
-    image attention mass; the head then keeps its `coverage_prefix` of
-    image entries and every other entry.
+    `raw_scores` (H, n) holds one nonnegative score per head and entry,
+    and `segments` (n,) the entries' kinds. Each head's image-entry
+    scores are normalized to sum to 1 (uniform if they sum to 0), so beta
+    reads as a fraction of the head's image attention mass; the head then
+    keeps its `coverage_prefix` of image entries and every other entry.
 
-    With `audit`, returns the layer's `LayerAudit`; otherwise None.
+    Returns the (H, n) retained mask and the float64 scores, image scores
+    normalized; the cache is not touched.
     """
-    n = int(cache.counts[layer, 0])
-    positions, segments = cache.positions[layer][:, :n], cache.segments[layer][:, :n]
-    if (cache.counts[layer] != n).any() or (positions != positions[0]).any() or (segments != segments[0]).any():
-        raise ValueError(f"layer {layer}: heads hold different entries")
+    segments = np.asarray(segments)
     scores = np.array(raw_scores, dtype=np.float64)
-    if scores.shape != (cache.n_heads, n):
-        raise ValueError(f"scores of shape {scores.shape} for {cache.n_heads} heads of {n} cache entries")
+    if scores.ndim != 2 or scores.shape[1] != segments.shape[0]:
+        raise ValueError(f"scores of shape {scores.shape} for {segments.shape[0]} cache entries")
     if (scores < 0).any():
         raise ValueError("scores must be nonnegative")
-    img = np.flatnonzero(is_image_segment(segments[0]))
+    img = np.flatnonzero(is_image_segment(segments))
     image = scores[:, img]
     mass = image.sum(axis=1, keepdims=True)
     image = np.divide(image, mass, out=np.full_like(image, 1.0 / max(img.size, 1)), where=mass > 0)
@@ -216,25 +215,29 @@ def compress_layer(cache: KVCache, layer: int, raw_scores: np.ndarray,
     retained = np.ones(scores.shape, dtype=bool)
     if config.beta < 1.0:
         retained[:, img] = coverage_prefix(image, config.beta)
-    if not retained.all():
-        cache.keep(layer, retained)
-    return LayerAudit(positions[0].copy(), segments[0].copy(), retained, scores) if audit else None
+    return retained, scores
 
 
 def compress_all(cache: KVCache, scores: Sequence[Optional[np.ndarray]],
                  config: CompressionConfig) -> KVCache:
-    """Compress every layer >= start_layer with one shared beta.
+    """A new cache keeping what compression of every layer >= start_layer
+    keeps from an uncompressed `cache` (prefill's, with compression off).
 
-    scores[layer] gives one raw score per head and cache entry; see
-    `compress_layer`.
+    scores[layer] gives one raw score per head and entry; see `retention`.
     """
     if len(scores) < cache.n_layers:
         raise ValueError(f"scores cover {len(scores)} layers, cache has {cache.n_layers}")
-    for layer in range(config.start_layer, cache.n_layers):
-        if scores[layer] is None:
-            raise ValueError(f"missing scores for layer {layer} (start_layer {config.start_layer})")
-        compress_layer(cache, layer, scores[layer], config)
-    return cache
+    out = KVCache(cache.n_layers, cache.n_heads, cache.head_dim)
+    for layer in range(cache.n_layers):
+        n = cache.counts[layer, 0]
+        keys, values, positions, segments = (f[layer][:, :n] for f in cache._fields())
+        retained = None
+        if layer >= config.start_layer:
+            if scores[layer] is None:
+                raise ValueError(f"missing scores for layer {layer} (start_layer {config.start_layer})")
+            retained, _ = retention(scores[layer], segments[0], config)
+        out.extend_layer(layer, keys, values, positions[0], segments[0], retained)
+    return out
 
 
 @dataclass(frozen=True)
@@ -253,10 +256,10 @@ def memory_estimate(cache: KVCache) -> MemoryEstimate:
 def dump_snapshot(cache: KVCache, audits: Sequence[Optional[LayerAudit]], path) -> None:
     """Debug CSV: one row per layer/head/entry with retention info.
 
-    `audits[layer]` is the audit that compression returned for that
-    layer, or None. A layer with an audit reports every entry it held
-    before eviction; a layer without one reports its live entries as
-    retained with an empty score field.
+    `audits[layer]` is the layer's `LayerAudit` from prefill, or None. A
+    layer with an audit reports every entry prefill brought to it, evicted
+    or not; a layer without one reports its live entries as retained with
+    an empty score field.
     """
     with open(path, "w", newline="") as f:
         w = csv.writer(f)

@@ -145,8 +145,8 @@ def partition_tokens(importance: np.ndarray, r: int) -> MergePartition:
     n = imp.shape[0]
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must be in [0, {n - 1}] for {n} image tokens, got {r}")
-    # lexsort: primary key -importance, secondary key index (stable tie-break)
-    order = np.lexsort((np.arange(n), -imp))
+    # descending importance, ties to the lower index: the ranking `coverage_prefix` uses
+    order = np.argsort(-imp, kind="stable")
     n_keep = n - (r + 1)
     return MergePartition(
         unmerged=np.sort(order[:n_keep]),

@@ -6,11 +6,11 @@ residual. LayerNorm has no affine: the weights are drawn, never trained
 or loaded, so its gain and bias would only ever hold ones and zeros.
 Image-token merging runs on the post-block hidden states of scheduled
 layers, using the cumulative attention scores computed inside that same
-layer's attention. Cache compression runs on each layer as soon
-as its attention has cached the layer's entries, from that layer's own
-prefill-time per-head cumulative scores, so the full-size cache of every
-layer is never held at once. Entries appended during decode are never
-compressed.
+layer's attention. Cache compression decides each layer's retained
+entries from that layer's own prefill-time per-head cumulative scores
+before the layer is written, and the cache stores only those, so no
+layer's evicted entries are ever held in the cache. Entries appended
+during decode are never compressed.
 
 Prefill leaves one `LayerRecord` per layer in `RunMetrics.layers`: token
 counts, cache entries, image-token importance, the merge stage's
@@ -32,8 +32,8 @@ from .kvcache import (
     KVCache,
     LayerAudit,
     compress_all,  # noqa: F401
-    compress_layer,
     memory_estimate,
+    retention,
 )
 from .merge import (
     MergeSchedule,
@@ -282,13 +282,14 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     for li, lw in enumerate(model.layers):
         x = layer_norm(hidden)
         att = multi_head_attention(x, lw.attn)
-        cache.extend_layer(li, att.keys, att.values, poss, segs)
         cum = att.cum_scores
+        retained = evictions = None
+        if compression is not None and li >= compression.start_layer:
+            retained, scores = retention(cum, segs, compression)
+            evictions = LayerAudit(poss.copy(), segs.copy(), retained, scores) if audit else None
+        cache.extend_layer(li, att.keys, att.values, poss, segs, retained)
         hidden = hidden + att.context
         del x, att  # only the scores are needed past this point
-        evictions = None
-        if compression is not None and li >= compression.start_layer:
-            evictions = compress_layer(cache, li, cum, compression, audit)
         hidden += _mlp(layer_norm(hidden), lw)  # hidden is this layer's own array
 
         img_mask = is_image_segment(segs)

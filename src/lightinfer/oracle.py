@@ -32,6 +32,19 @@ def naive_weighted_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarr
     return out
 
 
+def minimal_coverage_prefix(norm: np.ndarray, beta: float) -> set[int]:
+    """Independent oracle for `coverage_prefix`: shortest descending-score prefix with mass >= beta."""
+    order = sorted(range(norm.shape[0]), key=lambda i: (-float(norm[i]), i))
+    acc = 0.0
+    kept: set[int] = set()
+    for i in order:
+        kept.add(i)
+        acc += float(norm[i])
+        if acc >= beta:
+            return kept
+    return kept
+
+
 def full_attention(hidden: np.ndarray, weights: AttentionWeights,
                    evicted: Optional[np.ndarray] = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

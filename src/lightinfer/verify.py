@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .attention import _BLOCK, AttentionWeights, multi_head_attention
-from .kvcache import CompressionConfig, KVCache, compress_layer, memory_estimate
+from .kvcache import CompressionConfig, KVCache, memory_estimate, retention
 from .merge import (
     MergeSchedule,
     Segment,
@@ -41,7 +41,7 @@ from .model import (
     init_model,
     prefill,
 )
-from .oracle import full_attention, full_recompute_decode, naive_weighted_merge
+from .oracle import full_attention, full_recompute_decode, minimal_coverage_prefix, naive_weighted_merge
 
 
 @dataclass(frozen=True)
@@ -148,29 +148,6 @@ def check_compressed_decode_equivalence() -> tuple[bool, str]:
                   f"at least {least:.1%} of compressed entries evicted in every case")
 
 
-def _single_head_layer(scores: np.ndarray) -> KVCache:
-    """One head holding an image entry per score, then two text entries."""
-    n_img = scores.shape[0]
-    cache = KVCache(1, 1, 4)
-    zeros = np.zeros((1, n_img + 2, 4), np.float32)
-    segments = [Segment.IMAGE] * n_img + [Segment.INSTRUCTION] * 2
-    cache.extend_layer(0, zeros, zeros, np.arange(n_img + 2), np.array(segments, np.int8))
-    return cache
-
-
-def _minimal_coverage_prefix(norm: np.ndarray, beta: float) -> set[int]:
-    """Independent oracle: shortest descending-score prefix with mass >= beta."""
-    order = sorted(range(norm.shape[0]), key=lambda i: (-float(norm[i]), i))
-    acc = 0.0
-    kept: set[int] = set()
-    for i in order:
-        kept.add(i)
-        acc += float(norm[i])
-        if acc >= beta:
-            return kept
-    return kept
-
-
 def check_coverage_minimality() -> tuple[bool, str]:
     """Minimal-prefix retention and beta-monotonicity, exact set logic."""
     rng = np.random.default_rng(11)
@@ -179,14 +156,17 @@ def check_coverage_minimality() -> tuple[bool, str]:
         n = int(rng.integers(3, 40))
         raw = rng.uniform(0.01, 1.0, size=n)
         norm = raw / raw.sum()
+        # one head written from an image entry per score and two text entries
+        zeros = np.zeros((1, n + 2, 4), np.float32)
+        segments = np.array([Segment.IMAGE] * n + [Segment.INSTRUCTION] * 2, np.int8)
         retained_sets = []
         for beta in betas:
-            cache = _single_head_layer(norm)
-            compress_layer(cache, 0, [np.concatenate([norm, np.zeros(2)])],
-                           CompressionConfig(beta, 0))
+            retained, _ = retention([np.append(norm, [0.0, 0.0])], segments, CompressionConfig(beta, 0))
+            cache = KVCache(1, 1, 4)
+            cache.extend_layer(0, zeros, zeros, np.arange(n + 2), segments, retained)
             head = cache.head(0, 0)
             got = set(int(p) for p in head.positions[is_image_segment(head.segments)])
-            expect = set(range(n)) if beta >= 1.0 else _minimal_coverage_prefix(norm, beta)
+            expect = set(range(n)) if beta >= 1.0 else minimal_coverage_prefix(norm, beta)
             if got != expect:
                 return False, (f"trial {trial} beta={beta}: retained {sorted(got)} "
                                f"!= minimal prefix {sorted(expect)}")

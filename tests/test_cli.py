@@ -11,7 +11,7 @@ from lightinfer import bench as bench_mod
 from lightinfer import cli
 from lightinfer import verify as verify_mod
 from lightinfer.config import EngineConfig, load_config
-from lightinfer.kvcache import CompressionConfig, KVCache, compress_layer
+from lightinfer.kvcache import CompressionConfig, KVCache, retention
 from lightinfer.merge import Segment
 from lightinfer.model import LayerRecord, PipelineConfig, generate, init_model
 
@@ -274,10 +274,11 @@ def test_analyze_outputs_curves_and_nested_masks(tmp_path):
 def test_analyze_k_counts_ties_as_compression_keeps(tmp_path, monkeypatch):
     # ten equal scores: nine of them sum to 0.8999..., so coverage of 0.90 takes all ten
     importance = np.ones(10, dtype=np.float32)
+    segments = np.full(10, Segment.IMAGE, dtype=np.int8)
+    retained, _ = retention([importance], segments, CompressionConfig(0.90, 0))
     cache = KVCache(1, 1, 1)
     cache.extend_layer(0, np.zeros((1, 10, 1), np.float32), np.zeros((1, 10, 1), np.float32),
-                       np.arange(10), np.full(10, Segment.IMAGE, dtype=np.int8))
-    compress_layer(cache, 0, [importance], CompressionConfig(0.90, 0))
+                       np.arange(10), segments, retained)
     record = LayerRecord(tokens=10, image_tokens=10, cache_entries=10, importance=importance)
     fake = SimpleNamespace(metrics=SimpleNamespace(layers=[record]))
     monkeypatch.setattr(bench_mod, "prefill", lambda *args, **kwargs: fake)

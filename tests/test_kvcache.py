@@ -5,31 +5,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightinfer import PipelineConfig, prefill
 from lightinfer.kvcache import (
     _GROWTH_DIV,
     CompressionConfig,
     KVCache,
+    LayerAudit,
     compress_all,
-    compress_layer,
     dump_snapshot,
     memory_estimate,
+    retention,
 )
 from lightinfer.merge import Segment, is_image_segment
-from lightinfer.verify import _minimal_coverage_prefix
+from lightinfer.oracle import minimal_coverage_prefix
 
 
 def make_cache(n_layers=1, n_heads=2, head_dim=4):
     return KVCache(n_layers, n_heads, head_dim)
 
 
-def fill_layer(cache, layer, n_image, n_text, head_dim=4, seed=0):
+def segments(n_image, n_text):
+    return np.array([Segment.IMAGE] * n_image + [Segment.INSTRUCTION] * n_text, dtype=np.int8)
+
+
+def layer_entries(n_heads, n_image, n_text, head_dim=4, seed=0):
+    """Random keys and values (H, n, hd), positions and segments of n_image + n_text entries."""
     rng = np.random.default_rng(seed)
     n = n_image + n_text
-    keys = rng.standard_normal((cache.n_heads, n, head_dim)).astype(np.float32)
-    values = rng.standard_normal((cache.n_heads, n, head_dim)).astype(np.float32)
-    segs = np.array([Segment.IMAGE] * n_image + [Segment.INSTRUCTION] * n_text, dtype=np.int8)
-    cache.extend_layer(layer, keys, values, np.arange(n, dtype=np.int64), segs)
+    keys = rng.standard_normal((n_heads, n, head_dim)).astype(np.float32)
+    values = rng.standard_normal((n_heads, n, head_dim)).astype(np.float32)
+    return keys, values, np.arange(n, dtype=np.int64), segments(n_image, n_text)
+
+
+def fill_layer(cache, layer, n_image, n_text, head_dim=4, seed=0, retained=None):
+    entries = layer_entries(cache.n_heads, n_image, n_text, head_dim, seed)
+    cache.extend_layer(layer, *entries, retained)
     return cache
+
+
+def compressed(n_image, n_text, raw, beta, seed=0):
+    """A one-layer cache written with what compression at beta keeps of the
+    layer's entries, from raw scores (H, n)."""
+    raw = np.asarray(raw, dtype=float)
+    retained, _ = retention(raw, segments(n_image, n_text), CompressionConfig(beta, 0))
+    return fill_layer(make_cache(n_heads=raw.shape[0]), 0, n_image, n_text, seed=seed,
+                      retained=retained)
 
 
 def heads(cache, layer=0):
@@ -64,9 +84,7 @@ def test_append_rejects_out_of_order_position():
 def test_rejected_append_leaves_every_head_unchanged():
     # head 0 keeps only position 0 and head 1 only position 4, so position 3
     # is in order for head 0 and out of order for head 1
-    cache = fill_layer(make_cache(), 0, n_image=5, n_text=0)
-    onehot = np.eye(5)
-    compress_layer(cache, 0, [onehot[0], onehot[4]], CompressionConfig(0.5, 0))
+    cache = fill_layer(make_cache(), 0, n_image=5, n_text=0, retained=np.eye(5, dtype=bool)[[0, 4]])
     assert [hv.positions.tolist() for hv in heads(cache)] == [[0], [4]]
     with pytest.raises(ValueError, match="out-of-order"):
         cache.append(0, kv(), kv(), 3, Segment.GENERATED)
@@ -80,30 +98,26 @@ def test_append_rejects_bad_layer():
 
 
 def test_beta_one_is_bit_identical():
-    cache = fill_layer(make_cache(), 0, n_image=5, n_text=2)
-    before = [hv.keys.copy() for hv in heads(cache)]
+    full = fill_layer(make_cache(), 0, n_image=5, n_text=2)
     scores = [np.random.default_rng(1).uniform(0.1, 1, 7) for _ in range(2)]
-    compress_layer(cache, 0, scores, CompressionConfig(1.0, 0))
+    cache = compressed(5, 2, scores, 1.0)
     assert cache.counts[0].tolist() == [7, 7]
-    for hv, ref in zip(heads(cache), before):
-        assert np.array_equal(hv.keys, ref)
+    for got, ref in zip(cache._fields(), full._fields()):
+        assert got[0].tobytes() == ref[0].tobytes()
 
 
 def test_compress_cumulative_threshold_example():
-    cache = fill_layer(make_cache(n_heads=1), 0, n_image=5, n_text=0)
-    scores = [np.array([0.5, 0.2, 0.15, 0.1, 0.05])]
-    compress_layer(cache, 0, scores, CompressionConfig(0.9, 0))
+    cache = compressed(5, 0, [[0.5, 0.2, 0.15, 0.1, 0.05]], 0.9)
     assert cache.counts[0, 0] == 4
     assert cache.head(0, 0).positions.tolist() == [0, 1, 2, 3]
 
 
 def test_per_head_independence_uniform_vs_one_hot():
     n = 16  # power of two keeps the 90% prefix boundary away from float ties
-    cache = fill_layer(make_cache(n_heads=2), 0, n_image=n, n_text=0)
     uniform = np.full(n, 1.0 / n)
     one_hot = np.zeros(n)
     one_hot[3] = 1.0
-    compress_layer(cache, 0, [uniform, one_hot], CompressionConfig(0.9, 0))
+    cache = compressed(n, 0, [uniform, one_hot], 0.9)
     counts = cache.counts[0].tolist()
     assert counts[0] == int(np.ceil(0.9 * n))
     assert counts[1] == 1
@@ -111,18 +125,15 @@ def test_per_head_independence_uniform_vs_one_hot():
 
 
 def test_retained_entries_back_in_position_order():
-    cache = fill_layer(make_cache(n_heads=1), 0, n_image=6, n_text=1)
-    scores = [np.array([0.05, 0.3, 0.1, 0.25, 0.2, 0.1, 0.0])]
-    compress_layer(cache, 0, scores, CompressionConfig(0.7, 0))
+    cache = compressed(6, 1, [[0.05, 0.3, 0.1, 0.25, 0.2, 0.1, 0.0]], 0.7)
     pos = cache.head(0, 0).positions.tolist()
     assert pos == sorted(pos)
     assert 6 in pos  # text entry survives
 
 
 def test_compress_rejects_mismatched_scores():
-    cache = fill_layer(make_cache(n_heads=1), 0, n_image=4, n_text=0)
     with pytest.raises(ValueError, match="scores"):
-        compress_layer(cache, 0, [np.ones(3)], CompressionConfig(0.9, 0))
+        retention([np.ones(3)], segments(4, 0), CompressionConfig(0.9, 0))
 
 
 def test_power_of_two_scaling_keeps_retained_set():
@@ -130,16 +141,14 @@ def test_power_of_two_scaling_keeps_retained_set():
     raw = np.random.default_rng(3).uniform(0.1, 1, 10)
     kept = []
     for k in (0, -40, -1, 1, 40):
-        cache = fill_layer(make_cache(n_heads=1), 0, n_image=8, n_text=2)
-        compress_layer(cache, 0, [raw * 2.0 ** k], CompressionConfig(0.6, 0))
+        cache = compressed(8, 2, [raw * 2.0 ** k], 0.6)
         kept.append(cache.head(0, 0).positions.tolist())
     assert len(kept[0]) < 10
     assert all(positions == kept[0] for positions in kept)
 
 
 def test_zero_image_mass_compresses_as_uniform():
-    cache = fill_layer(make_cache(n_heads=1), 0, n_image=16, n_text=1)
-    compress_layer(cache, 0, [np.zeros(17)], CompressionConfig(0.5, 0))
+    cache = compressed(16, 1, [np.zeros(17)], 0.5)
     assert cache.head(0, 0).positions.tolist() == list(range(8)) + [16]
 
 
@@ -150,8 +159,7 @@ def test_compress_monotone_in_beta(n, seed):
     raw = rng.uniform(0.01, 1.0, n)
     kept = []
     for beta in (0.3, 0.6, 0.9, 1.0):
-        cache = fill_layer(make_cache(n_heads=1), 0, n_image=n, n_text=0)
-        compress_layer(cache, 0, [raw], CompressionConfig(beta, 0))
+        cache = compressed(n, 0, [raw], beta)
         kept.append(set(cache.head(0, 0).positions.tolist()))
     for a, b in zip(kept, kept[1:]):
         assert a <= b
@@ -160,9 +168,8 @@ def test_compress_monotone_in_beta(n, seed):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 12), st.integers(1, 6), st.floats(0.2, 0.999), st.integers(0, 2**31 - 1))
 def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
-    cache = fill_layer(make_cache(n_heads=1), 0, n_image=n_image, n_text=n_text, seed=seed)
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, n_image + n_text)
-    compress_layer(cache, 0, [raw], CompressionConfig(beta, 0))
+    cache = compressed(n_image, n_text, [raw], beta, seed=seed)
     assert int((~is_image_segment(cache.head(0, 0).segments)).sum()) == n_text
 
 
@@ -171,26 +178,16 @@ def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
        st.sampled_from([0.3, 0.5, 0.75, 0.9, 0.999]), st.integers(0, 2**31 - 1))
 def test_batched_rule_matches_minimal_prefix_per_head(n_heads, n_image, n_text, beta, seed):
     # small integer scores make ties, and all-zero image mass, common
-    cache = fill_layer(make_cache(n_heads=n_heads), 0, n_image=n_image, n_text=n_text, seed=seed)
     raw = np.random.default_rng(seed).integers(0, 4, (n_heads, n_image + n_text)).astype(float)
-    audit = compress_layer(cache, 0, raw, CompressionConfig(beta, 0), audit=True)
+    retained, _ = retention(raw, segments(n_image, n_text), CompressionConfig(beta, 0))
+    cache = compressed(n_image, n_text, raw, beta, seed=seed)
     for h in range(n_heads):
         img = raw[h, :n_image]
         norm = img / img.sum() if img.sum() > 0 else np.full(n_image, 1.0 / max(n_image, 1))
-        expect = _minimal_coverage_prefix(norm, beta)
-        assert set(np.flatnonzero(audit.retained[h, :n_image]).tolist()) == expect
-        assert audit.retained[h, n_image:].all()
+        expect = minimal_coverage_prefix(norm, beta)
+        assert set(np.flatnonzero(retained[h, :n_image]).tolist()) == expect
+        assert retained[h, n_image:].all()
         assert cache.head(0, h).positions.tolist() == sorted(expect) + list(range(n_image, n_image + n_text))
-
-
-def test_compress_rejects_heads_with_different_entries():
-    cache = fill_layer(make_cache(n_heads=2), 0, n_image=5, n_text=1)
-    onehot = np.eye(6)
-    compress_layer(cache, 0, [onehot[0], onehot[4]], CompressionConfig(0.5, 0))
-    assert [hv.positions.tolist() for hv in heads(cache)] == [[0, 5], [4, 5]]
-    with pytest.raises(ValueError, match="heads hold different entries"):
-        compress_layer(cache, 0, np.ones((2, 2)), CompressionConfig(0.5, 0))
-    assert [hv.positions.tolist() for hv in heads(cache)] == [[0, 5], [4, 5]]
 
 
 def test_compress_all_respects_start_layer():
@@ -198,16 +195,19 @@ def test_compress_all_respects_start_layer():
     for layer in range(3):
         fill_layer(cache, layer, n_image=6, n_text=1, seed=layer)
     scores = [[np.random.default_rng(9).uniform(0.1, 1, 7)] for _ in range(3)]
-    compress_all(cache, scores, CompressionConfig(0.5, 1))
-    assert cache.counts[0, 0] == 7
-    assert cache.counts[1, 0] < 7
-    assert cache.counts[2, 0] < 7
+    out = compress_all(cache, scores, CompressionConfig(0.5, 1))
+    assert out.counts[0, 0] == 7
+    assert out.counts[1, 0] < 7
+    assert out.counts[2, 0] < 7
+    for layer in range(3):
+        assert out.head(layer, 0).keys.tobytes() == cache.keys[layer][0][out.head(layer, 0).positions].tobytes()
+    assert cache.counts[:, 0].tolist() == [7, 7, 7]  # the uncompressed cache is left as it was
 
 
 def test_compress_all_start_at_end_is_noop():
     cache = fill_layer(make_cache(n_layers=1, n_heads=1), 0, n_image=5, n_text=0)
-    compress_all(cache, [None], CompressionConfig(0.5, 1))
-    assert cache.counts[0, 0] == 5
+    out = compress_all(cache, [None], CompressionConfig(0.5, 1))
+    assert out.counts[0, 0] == 5
 
 
 def test_compress_all_uniform_scores_same_count_per_layer():
@@ -215,8 +215,8 @@ def test_compress_all_uniform_scores_same_count_per_layer():
     for layer in range(3):
         fill_layer(cache, layer, n_image=10, n_text=2, seed=layer)
     scores = [[np.ones(12)] for _ in range(3)]
-    compress_all(cache, scores, CompressionConfig(0.5, 0))
-    assert len(set(cache.counts[:, 0].tolist())) == 1
+    out = compress_all(cache, scores, CompressionConfig(0.5, 0))
+    assert len(set(out.counts[:, 0].tolist())) == 1
 
 
 def test_compress_all_steeper_scores_retain_fewer():
@@ -226,8 +226,7 @@ def test_compress_all_steeper_scores_retain_fewer():
         fill_layer(cache, layer, n_image=n, n_text=0, seed=layer)
     base = np.linspace(1.0, 2.0, n)
     scores = [[np.power(base, 8.0 * layer + 1.0)] for layer in range(3)]
-    compress_all(cache, scores, CompressionConfig(0.9, 0))
-    counts = cache.counts[:, 0].tolist()
+    counts = compress_all(cache, scores, CompressionConfig(0.9, 0)).counts[:, 0].tolist()
     assert counts[0] > counts[1] > counts[2]
 
 
@@ -255,23 +254,19 @@ def test_memory_estimate_arithmetic():
 
 
 def test_memory_tracks_retained_fraction():
-    cache = fill_layer(make_cache(n_heads=1), 0, n_image=100, n_text=0)
-    before = memory_estimate(cache).total
-    one_hot = np.zeros(100)
-    one_hot[0] = 1.0
+    before = memory_estimate(fill_layer(make_cache(n_heads=1), 0, n_image=100, n_text=0)).total
     ten = np.zeros(100)
     ten[:10] = 0.1
-    compress_layer(cache, 0, [ten], CompressionConfig(0.999, 0))
-    after = memory_estimate(cache).total
+    after = memory_estimate(compressed(100, 0, [ten], 0.999)).total
     assert after == before // 10
 
 
 def test_snapshot_csv(tmp_path):
     cache = make_cache(n_layers=2, n_heads=1)
     fill_layer(cache, 0, 3, 1)
-    fill_layer(cache, 1, 3, 1)
-    audit = compress_layer(cache, 1, [np.array([0.7, 0.2, 0.1, 0.0])],
-                           CompressionConfig(0.8, 1), audit=True)
+    retained, scores = retention([[0.7, 0.2, 0.1, 0.0]], segments(3, 1), CompressionConfig(0.8, 1))
+    fill_layer(cache, 1, 3, 1, retained=retained)
+    audit = LayerAudit(np.arange(4), segments(3, 1), retained, scores)
     out = tmp_path / "snap.csv"
     dump_snapshot(cache, [None, audit], out)
     rows = list(csv.DictReader(out.open()))
@@ -283,39 +278,67 @@ def test_snapshot_csv(tmp_path):
     assert all(r["segment"] == "image" for r in dropped)
 
 
-def test_audit_recorded_only_when_asked():
-    cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
+def test_audit_recorded_only_when_asked(tiny_model, tiny_seq):
+    # retention returns what a layer's audit records: the mask and the scores
     scores = [np.arange(1.0, 8.0)] * 2
-    assert compress_layer(cache, 0, scores, CompressionConfig(0.5, 0)) is None
-    cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1)
-    audit = compress_layer(cache, 0, scores, CompressionConfig(0.5, 0), audit=True)
-    assert audit.positions.tolist() == list(range(7))
-    assert audit.retained.shape == audit.scores.shape == (2, 7)
-    for retained, recorded, hv in zip(audit.retained, audit.scores, heads(cache)):
-        assert audit.positions[retained].tolist() == hv.positions.tolist()
+    retained, recorded = retention(scores, segments(6, 1), CompressionConfig(0.5, 0))
+    cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1, retained=retained)
+    assert retained.shape == recorded.shape == (2, 7)
+    for kept, row, hv in zip(retained, recorded, heads(cache)):
+        assert np.arange(7)[kept].tolist() == hv.positions.tolist()
         # image scores are recorded normalized, the text entry's as given
-        assert recorded[:6].sum() == pytest.approx(1.0)
-        assert recorded[6] == 7.0
+        assert row[:6].sum() == pytest.approx(1.0)
+        assert row[6] == 7.0
     assert scores[0].tolist() == list(np.arange(1.0, 8.0))  # the caller's scores are not normalized in place
+    # prefill keeps it in the layer record only when asked
+    pipe = PipelineConfig(None, CompressionConfig(0.5, 0))
+    assert all(r.evictions is None for r in prefill(tiny_model, tiny_seq, pipe).metrics.layers)
+    audits = [r.evictions for r in prefill(tiny_model, tiny_seq, pipe, audit=True).metrics.layers]
+    assert all(isinstance(a, LayerAudit) for a in audits)
 
 
-def test_keep_sizes_buffers_to_the_largest_head():
-    cache = fill_layer(make_cache(n_heads=2), 0, n_image=40, n_text=3)
-    full = [(hv.keys.copy(), hv.values.copy()) for hv in heads(cache)]
-    rng = np.random.default_rng(5)
-    raw = [rng.uniform(0.01, 1.0, 43) ** 4 for _ in range(2)]
-    compress_layer(cache, 0, raw, CompressionConfig(0.5, 0))
-    counts = cache.counts[0]
-    assert counts.max() < 43 and counts.min() < counts.max()
-    assert cache.keys[0].shape == (2, counts.max(), 4)
-    for hv, (keys, values) in zip(heads(cache), full):
-        assert np.array_equal(hv.keys, keys[hv.positions])
-        assert np.array_equal(hv.values, values[hv.positions])
-    # the shorter head's padding rows are zeros
-    short = int(counts.argmin())
-    assert not cache.keys[0][short, counts.min():].any()
-    assert not cache.values[0][short, counts.min():].any()
-    assert memory_estimate(cache).allocated == 2 * int(counts.max()) * (2 * 4 * 4 + 8 + 1)
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 3), st.sampled_from([0.3, 0.7, 1.0]),
+       st.booleans(), st.integers(0, 2**31 - 1))
+def test_extend_layer_keeps_each_heads_marked_entries(n_heads, n_image, n_text, p, blind, seed):
+    """Each head holds exactly its masked rows, in row order, in buffers sized
+    to the largest head with zero padding. p 1.0 keeps every entry; `blind`
+    makes head 0 keep no image entry."""
+    n = n_image + n_text
+    rng = np.random.default_rng(seed)
+    retained = rng.uniform(size=(n_heads, n)) < p
+    retained[0, :n_image] &= not blind
+    keys, values, positions, segs = entries = layer_entries(n_heads, n_image, n_text, seed=seed)
+    cache = make_cache(n_heads=n_heads)
+    cache.extend_layer(0, *entries, retained)
+    counts = retained.sum(axis=1)
+    top = int(counts.max())
+    assert cache.counts[0].tolist() == counts.tolist()
+    assert cache.keys[0].shape == cache.values[0].shape == (n_heads, top, 4)
+    assert cache.positions[0].shape == cache.segments[0].shape == (n_heads, top)
+    for h, hv in enumerate(heads(cache)):
+        assert hv.keys.tobytes() == keys[h][retained[h]].tobytes()
+        assert hv.values.tobytes() == values[h][retained[h]].tobytes()
+        assert hv.positions.tolist() == positions[retained[h]].tolist()
+        assert hv.segments.tolist() == segs[retained[h]].tolist()
+        for field in cache._fields():
+            assert not field[0][h, counts[h]:].any()
+    assert memory_estimate(cache).allocated == n_heads * top * (2 * 4 * 4 + 8 + 1)
+
+
+def test_extend_layer_rejects_bad_layer():
+    cache = make_cache(n_layers=3)
+    for layer in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            fill_layer(cache, layer, n_image=3, n_text=2)
+    assert not cache.counts.any()
+
+
+def test_extend_layer_rejects_mask_of_wrong_shape():
+    cache = make_cache(n_heads=2)
+    with pytest.raises(ValueError, match="retained mask"):
+        fill_layer(cache, 0, n_image=3, n_text=2, retained=np.ones((2, 4), dtype=bool))
+    assert not cache.counts.any()
 
 
 def test_grow_adds_an_eighth_of_capacity():
