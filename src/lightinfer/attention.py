@@ -8,11 +8,30 @@ of it, so no NxN matrix is ever held and no block maps fresh memory. The
 1/sqrt(hd) scale is folded into the queries, and the softmax normalisation
 is deferred as in FlashAttention-2: each block keeps the unnormalised
 exponentials, and their reciprocal row sums scale the block's context and
-its contribution to the cumulative scores. Besides the context, each call
-returns the per-key cumulative score vector -- the signal an efficient
-fused kernel can return, and all that every downstream token-reduction
-decision needs. The full-matrix reference that materializes every score
-lives in `oracle.full_attention`; the two agree up to float reordering.
+its contribution to the cumulative scores. The row sums are one batched
+gemv against a column of ones, the product that already forms the
+cumulative scores, rather than a reduction pass.
+
+Subtracting each row's max before `exp` only guards against overflow
+(Milakov & Gimelshein, 2018), so each call skips it when a bound proves it
+cannot matter. By Cauchy-Schwarz every logit lies in [-b, b] with
+b = sqrt(max_i |q_i|^2 * max_j |k_j|^2), q already scaled; the q, k and v
+norms cost three (H, n) reductions per call. When b <= `_SAFE_LOGIT` = 64, every
+exponential lies in [e^-64, e^64]: below float32's overflow at e^88.7 and
+above its smallest normal, e^-87.3, so no term overflows or loses
+precision, and a row sum of n such terms stays finite. The diagonal key is
+always visible, so every row sum is positive. The unnormalised context
+p @ v is bounded by n * e^b * max_j |v_j|, so the shift is also kept when
+n * max_j |v_j| exceeds `_SAFE_MASS`. The default model's bound is ~3, so
+its prefill never shifts. The test reads `not b <= _SAFE_LOGIT`: a NaN or
+inf in the inputs makes b NaN or inf, and such a call takes the shifted
+path, with the NaN pattern the shifted kernel gives.
+
+Besides the context, each call returns the per-key cumulative score
+vector -- the signal an efficient fused kernel can return, and all that
+every downstream token-reduction decision needs. The full-matrix reference
+that materializes every score lives in `oracle.full_attention`; the two
+agree up to float reordering.
 
 Token importance, engine-wide, is the head-averaged causally-masked
 column sum of attention probabilities (raw, not renormalized per layer).
@@ -25,6 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK = 128
+# Largest logit bound for which the max shift is skipped; see the module docstring.
+_SAFE_LOGIT = 64.0
+# Largest n * max_j |v_j| for which the unshifted context stays finite: its
+# terms are at most e^_SAFE_LOGIT * |v_j|, float32 holds up to ~3.4e38, and
+# the factor 4 leaves room for rounding.
+_SAFE_MASS = float(np.finfo(np.float32).max) * float(np.exp(-_SAFE_LOGIT)) / 4
 # Entry (i, j) is True when key j comes after query i within one block.
 _FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)
 
@@ -70,6 +95,11 @@ def _project_heads(hidden: np.ndarray, w: np.ndarray, n_heads: int) -> np.ndarra
     return (hidden @ w).reshape(n, n_heads, c // n_heads).transpose(1, 0, 2)
 
 
+def _max_sq_norm(x: np.ndarray) -> float:
+    """Largest squared row norm of an (H, n, d) array, as a Python float."""
+    return float(np.einsum("hnd,hnd->hn", x, x).max())
+
+
 def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights) -> AttentionOutput:
     hidden = np.asarray(hidden, dtype=np.float32)
     if hidden.ndim != 2 or hidden.shape[0] < 1:
@@ -86,10 +116,15 @@ def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights) -> Atten
     k = _project_heads(hidden, weights.wk, h)
     v = _project_heads(hidden, weights.wv, h)
 
+    # Every logit lies in [-bound, bound]; NaN fails the test and shifts.
+    bound = np.sqrt(_max_sq_norm(q) * _max_sq_norm(k))
+    shift = not (bound <= _SAFE_LOGIT and n * np.sqrt(_max_sq_norm(v)) <= _SAFE_MASS)
+
     kt = np.ascontiguousarray(k.transpose(0, 2, 1))
     ctx = np.empty((n, h, hd), dtype=np.float32)
     cum = np.zeros((h, n), dtype=np.float32)
     buf = np.empty(h * min(_BLOCK, n) * n, dtype=np.float32)
+    ones = np.ones((n, 1), dtype=np.float32)
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         # Queries [s, e) see keys [:e]; only the diagonal tile [s, e) x [s, e)
@@ -97,9 +132,10 @@ def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights) -> Atten
         p = buf[:h * (e - s) * e].reshape(h, e - s, e)
         np.matmul(q[:, s:e], kt[:, :, :e], out=p)
         np.copyto(p[:, :, s:], np.float32(-np.inf), where=_FUTURE[:e - s, :e - s])
-        p -= p.max(axis=2, keepdims=True)
+        if shift:
+            p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
-        rinv = np.float32(1.0) / p.sum(axis=2, keepdims=True)
+        rinv = np.float32(1.0) / (p @ ones[:e])
         ctx[s:e] = ((p @ v[:, :e]) * rinv).transpose(1, 0, 2)
         cum[:, :e] += (rinv.transpose(0, 2, 1) @ p)[:, 0]
 
@@ -114,6 +150,9 @@ def attend_single_query(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
 
     Scores past a head's count are masked only where the counts differ;
     padding rows must be finite, since a weight of 0 times NaN is NaN.
+    Unlike prefill, decode always subtracts the row max: the bound that lets
+    prefill skip it would need every cached key's norm, a read as large as
+    the scores themselves, to save one pass over H * n scores.
     """
     n = int(counts.max())
     keys, values = keys[:, :n], values[:, :n]

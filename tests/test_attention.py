@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lightinfer.attention import _BLOCK, AttentionWeights, attend_single_query, multi_head_attention
+from lightinfer import attention
+from lightinfer.attention import (_BLOCK, _SAFE_LOGIT, AttentionWeights, attend_single_query,
+                                  multi_head_attention)
 from lightinfer.oracle import full_attention
 
 
@@ -50,17 +52,85 @@ def test_cumulative_mode_matches_full_column_sums():
     assert np.abs(cum.cum_scores - col_sums).max() < 1e-5
 
 
+def head_logits(hidden, w):
+    """(H, N, N) scaled logits q_i . k_j / sqrt(hd), before the causal mask."""
+    n, hd = hidden.shape[0], w.head_dim
+    q, k = ((hidden @ m).reshape(n, w.n_heads, hd).transpose(1, 0, 2) for m in (w.wq, w.wk))
+    return q @ k.transpose(0, 2, 1) / np.sqrt(hd)
+
+
+def logit_bound(hidden, w):
+    """The Cauchy-Schwarz bound sqrt(max_i |q_i|^2 * max_j |k_j|^2), q scaled by 1/sqrt(hd)."""
+    n, hd = hidden.shape[0], w.head_dim
+    q, k = ((hidden @ m).reshape(n, w.n_heads, hd) for m in (w.wq, w.wk))
+    return np.sqrt((q ** 2).sum(-1).max() / hd * (k ** 2).sum(-1).max())
+
+
 # Query-block boundaries (one short, exact, one past, one past two blocks)
 # plus the default config's full sequence length.
-@pytest.mark.parametrize("n", sorted({8, 128, 300, 517, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                      2 * _BLOCK + 1, 1556}))
+MODE_SIZES = sorted({8, 128, 300, 517, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1556})
+
+
+@pytest.mark.parametrize("n", MODE_SIZES)
 def test_mode_equivalence_context_and_scores(n):
     hidden = random_hidden(n, seed=n)
     w = random_weights(seed=n)
+    assert logit_bound(hidden, w) <= _SAFE_LOGIT  # the kernel skips the max shift
     ref_context, ref_cum, _ = full_attention(hidden, w)
     out = multi_head_attention(hidden, w)
     assert np.abs(ref_context - out.context).max() < 1e-5
     assert np.abs(ref_cum.mean(axis=0) - out.cum_scores.mean(axis=0)).max() < 1e-5
+
+
+@pytest.mark.parametrize("n", MODE_SIZES)
+def test_large_logits_match_full_attention(n):
+    """wq and wk rescaled to a largest visible logit of 120, past where float32
+    exp overflows (88.7): the kernel must shift, and still match the oracle."""
+    hidden = random_hidden(n, seed=n)
+    w = random_weights(seed=n)
+    causal = np.tril(np.ones((n, n), dtype=bool))
+    g = np.float32(np.sqrt(120.0 / np.abs(head_logits(hidden, w)[:, causal]).max()))
+    w = AttentionWeights(w.n_heads, w.wq * g, w.wk * g, w.wv, w.wo)
+    assert np.abs(head_logits(hidden, w)[:, causal]).max() > 100
+    ref_context, ref_cum, _ = full_attention(hidden, w)
+    out = multi_head_attention(hidden, w)
+    assert np.abs(ref_context - out.context).max() < 1e-5
+    ref_mean = ref_cum.mean(axis=0)
+    # Sharp rows pile their mass on few keys, whose cumulative scores reach
+    # ~30 at n=1556; float32 sums of them agree to ~1e-6 relative.
+    assert np.abs(ref_mean - out.cum_scores.mean(axis=0)).max() < 1e-6 * ref_mean.max()
+
+
+def test_large_values_keep_the_max_shift():
+    """Logits up to the bound's limit with huge values: e^60 * |v| alone overflows
+    float32, so the kernel must shift even though the logit bound allows skipping."""
+    n = 16
+    hidden = random_hidden(n, seed=29)
+    base = random_weights(seed=29)
+    # wk = wq puts the largest logit on a diagonal, where it equals the bound
+    g = np.sqrt(60.0 / logit_bound(hidden, AttentionWeights(4, base.wq, base.wq, base.wv, base.wo)))
+    w = AttentionWeights(4, base.wq * g, base.wq * g, base.wv * np.float32(1e13), base.wo)
+    assert 59 < logit_bound(hidden, w) <= _SAFE_LOGIT
+    ref_context, ref_cum, _ = full_attention(hidden, w)
+    out = multi_head_attention(hidden, w)
+    assert np.isfinite(ref_context).all() and np.isfinite(out.context).all()
+    assert np.abs(ref_context - out.context).max() < 1e-4 * np.abs(ref_context).max()
+    assert np.abs(ref_cum - out.cum_scores).max() < 1e-5
+
+
+@pytest.mark.parametrize("row", [0, _BLOCK + 3, 2 * _BLOCK])
+def test_nan_input_takes_the_shifted_path(row, monkeypatch):
+    """A NaN makes the logit bound NaN, which fails the bound test, so the kernel
+    returns exactly what it returns with the max shift forced on."""
+    hidden = random_hidden(2 * _BLOCK + 1, seed=31)
+    hidden[row, 5] = np.nan
+    w = random_weights(seed=31)
+    out = multi_head_attention(hidden, w)
+    monkeypatch.setattr(attention, "_max_sq_norm", lambda x: np.inf)
+    shifted = multi_head_attention(hidden, w)
+    assert np.isnan(out.context[row:]).all() and np.isnan(out.cum_scores).all()
+    assert np.array_equal(out.context, shifted.context, equal_nan=True)
+    assert np.array_equal(out.cum_scores, shifted.cum_scores, equal_nan=True)
 
 
 def test_full_scores_rows_stochastic_and_causal():
