@@ -27,6 +27,14 @@ its prefill never shifts. The test reads `not b <= _SAFE_LOGIT`: a NaN or
 inf in the inputs makes b NaN or inf, and such a call takes the shifted
 path, with the NaN pattern the shifted kernel gives.
 
+A NaN in input row t makes context row t and every later row NaN, and
+also the earlier rows of t's own query block, [s, t) for the block
+[s, e) holding t: their weight on key t is masked to 0, but the block's
+`p @ v` still multiplies it by v_t, and 0 * NaN is NaN. Rows of earlier
+blocks stay finite. Every cumulative score is NaN, since each key's
+column sum takes row t's weights. `oracle.full_attention` makes one
+product over all rows, so there every context row is NaN.
+
 Besides the context, each call returns the per-key cumulative score
 vector -- the signal an efficient fused kernel can return, and all that
 every downstream token-reduction decision needs. The full-matrix reference

@@ -250,7 +250,7 @@ def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
 
 @dataclass
 class PrefillResult:
-    logits: np.ndarray             # (vocab,) next-token logits
+    logits: np.ndarray             # (vocab,) last row's next-token logits; no larger base
     cache: KVCache
     metrics: RunMetrics
 
@@ -261,6 +261,10 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
 
     `audit` stores each compressed layer's eviction audit in its
     `LayerRecord.evictions`, for `dump_snapshot` and the decode oracle.
+
+    Only the last row's next-token logits are computed, with the product
+    `decode_step` takes: the result's `logits` is that `(vocab,)` vector,
+    and no `(N, vocab)` matrix is formed or kept.
     """
     if len(seq) < 1:
         raise ValueError("prefill input must be nonempty")
@@ -307,7 +311,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
                                           int(cache.counts[li].sum()), importance, kept,
                                           evictions))
 
-    logits = (layer_norm(hidden) @ model.w_out)[-1]
+    logits = (layer_norm(hidden[-1:]) @ model.w_out)[0]
     metrics.prefill_ms = (time.perf_counter() - t0) * 1e3
     _record_memory(metrics, cache)
     return PrefillResult(logits, cache, metrics)

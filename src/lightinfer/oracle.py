@@ -57,6 +57,11 @@ def full_attention(hidden: np.ndarray, weights: AttentionWeights,
     `evicted` (H, P) marks, per head, keys among the first P rows (the
     prefill) that no later row may attend to: rows from P on are the
     generated tokens, which decode from a compressed cache.
+
+    A NaN in any input row makes every context row NaN, the rows before it
+    too: masked weights are 0 and `scores @ v` multiplies them by the NaN
+    row's value. In the engine, rows of the query blocks before the NaN
+    row's block stay finite (see the `attention` module docstring).
     """
     hidden = np.asarray(hidden, dtype=np.float32)
     n, c = hidden.shape

@@ -1,9 +1,13 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from lightinfer import attention
+from lightinfer import ModelConfig, attention, build_input, init_model
 from lightinfer.attention import (_BLOCK, _SAFE_LOGIT, AttentionWeights, attend_single_query,
                                   multi_head_attention)
+from lightinfer.config import InputConfig
+from lightinfer.model import layer_norm
 from lightinfer.oracle import full_attention
 
 
@@ -131,6 +135,31 @@ def test_nan_input_takes_the_shifted_path(row, monkeypatch):
     assert np.isnan(out.context[row:]).all() and np.isnan(out.cum_scores).all()
     assert np.array_equal(out.context, shifted.context, equal_nan=True)
     assert np.array_equal(out.cum_scores, shifted.cum_scores, equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def default_layer0():
+    """The default model's first-layer attention weights and its normalized input."""
+    cfg = ModelConfig()
+    seq = build_input(**asdict(InputConfig()), dim=cfg.dim)
+    return layer_norm(seq.embeddings), init_model(cfg).layers[0].attn
+
+
+@pytest.mark.parametrize("n", [8, _BLOCK + 1, 300, None])
+def test_default_model_skips_the_max_shift(default_layer0, n, monkeypatch):
+    """On the default model the kernel takes the unshifted branch: its output
+    is bit-equal to the kernel with the shift forced off, and differs from
+    the kernel with the shift forced on. n=None is the full input."""
+    hidden, w = default_layer0
+    hidden = hidden[:n]
+    out = multi_head_attention(hidden, w)
+    monkeypatch.setattr(attention, "_max_sq_norm", lambda x: 0.0)
+    unshifted = multi_head_attention(hidden, w)
+    monkeypatch.setattr(attention, "_max_sq_norm", lambda x: np.inf)
+    shifted = multi_head_attention(hidden, w)
+    assert np.array_equal(out.context, unshifted.context)
+    assert np.array_equal(out.cum_scores, unshifted.cum_scores)
+    assert not np.array_equal(out.context, shifted.context)
 
 
 def test_full_scores_rows_stochastic_and_causal():

@@ -14,9 +14,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lightinfer import init_model
+from lightinfer import init_model, prefill
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -26,6 +27,8 @@ REF_PATH = Path(workloads.__file__).resolve().parent / "ref_ids.json"
 # workload -> (input seeds, output tokens)
 GOLDEN_CASES = {"merge-prefill": ((1, 2), 16), "evict-decode": ((1, 2), 24)}
 VANILLA_SEEDS, VANILLA_TOKENS = (0, 1), 16
+# seeds whose first id, the only one the prefill logits decide, is checked by prefill alone
+PREFILL_SEEDS = range(8)
 
 
 def _ids(model, pipeline, seed: int, n: int) -> list[int]:
@@ -48,6 +51,13 @@ def test_vanilla_ids_match_reference_prefix(bench_model):
     for seed in VANILLA_SEEDS:
         got = _ids(bench_model, workloads.DISABLED, seed, VANILLA_TOKENS)
         assert got == ref[str(seed)][:VANILLA_TOKENS], f"seed {seed}"
+
+
+def test_prefill_argmax_matches_reference_first_id(bench_model):
+    ref = json.loads(REF_PATH.read_text())
+    for seed in PREFILL_SEEDS:
+        pre = prefill(bench_model, workloads.make_input(seed), workloads.DISABLED)
+        assert int(np.argmax(pre.logits)) == ref[str(seed)][0], f"seed {seed}"
 
 
 def test_pipeline_ids_match_golden(bench_model):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -369,3 +372,27 @@ def test_padding_counts_in_allocated_bytes():
         logits, cache = decode_step(model, cache, tok)
         tok = int(np.argmax(logits))
     check(cache, memory_estimate(cache).allocated)
+
+
+def test_prefill_result_pins_no_logits_matrix():
+    # vanilla, so the cache is as large as it gets, and still N * vocab * 4
+    # bytes alone exceed everything a result may keep
+    model = init_model(ModelConfig(n_layers=2, n_heads=4, dim=64, vocab=512, seed=0))
+    seq = build_input(20, 960, 20, redundancy=0.5, seed=0, dim=64)
+    vanilla = pipeline(merging=False, compression=False)
+    prefill(model, seq, vanilla)  # first-call allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pre = prefill(model, seq, vanilla)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+    assert pre.logits.shape == (model.config.vocab,)
+    assert pre.logits.base is None or pre.logits.base.nbytes == pre.logits.nbytes
+    records = sum(r.importance.nbytes for r in pre.metrics.layers)
+    bound = memory_estimate(pre.cache).allocated + records + 64 * 1024
+    assert len(seq) * model.config.vocab * 4 > bound
+    assert held <= bound
