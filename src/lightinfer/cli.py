@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             seq = bench_mod._build_seq(cfg)
             pre = prefill(model, seq, cfg.pipeline.build(), audit=True)
             out = args.out or "cache_snapshot.csv"
-            dump_snapshot(pre.cache, [r.evictions for r in pre.metrics.layers], out)
+            dump_snapshot([r.evictions for r in pre.metrics.layers], cfg.model.n_heads, out)
             print(f"wrote {out}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,18 +1,19 @@
 """Per-layer KV storage and coverage-threshold compression.
 
-`KVCache` holds each layer as one tensor per field: keys and values
-`(H, cap, hd)`, positions and segments `(H, cap)`, with every head's
-live count in `counts` `(L, H)`. Head h of layer l holds its entries in
-rows `[:counts[l, h]]`; the rows past its count are zeros, so a
-masked-out row never carries NaN into a weighted sum.
+`KVCache` holds what decode reads and nothing else: each layer's keys
+and values as `(H, cap, hd)` tensors, with every head's live count in
+`counts` `(L, H)`. Head h of layer l holds its entries in rows
+`[:counts[l, h]]`; the rows past its count are zeros, so a masked-out
+row never carries NaN into a weighted sum. Positions and segments are
+not stored: prefill records them in each layer's `LayerAudit` when asked.
 
 Compression decides before a layer is written, and the cache stores
 only what it keeps. `retention` maps a layer's per-head scores to one
 `(H, n)` retained mask: per head, the shortest descending-score prefix
 of image entries whose attention mass, normalized over the head's image
 entries, reaches beta (`coverage_prefix`), and every text entry.
-`KVCache.extend_layer` gathers each head's retained entries, in
-original-position order, into buffers sized to the layer's largest head.
+`KVCache.extend_layer` gathers each head's retained entries, in input
+order, into buffers sized to the layer's largest head.
 
 Appends grow a full layer by an eighth of its capacity (`_GROWTH_DIV`),
 not by doubling, so a layer holds at most ~1/8 more rows than its
@@ -49,20 +50,18 @@ class HeadView(NamedTuple):
     """One head's n live entries, as views into its layer's buffers."""
     keys: np.ndarray        # (n, hd), and values too
     values: np.ndarray
-    positions: np.ndarray   # (n,), and segments too
-    segments: np.ndarray
 
 
 class LayerAudit(NamedTuple):
-    """One compressed layer's eviction, over the n entries prefill brought to it."""
+    """The n entries prefill brought to one layer and what each head kept of them."""
     positions: np.ndarray   # (n,), the same in every head, and segments too
     segments: np.ndarray
-    retained: np.ndarray    # (H, n) bool
-    scores: np.ndarray      # (H, n) float64, image scores normalized per head
+    retained: Optional[np.ndarray]   # (H, n) bool; None on an uncompressed layer
+    scores: Optional[np.ndarray]     # (H, n) float64, image scores normalized per head
 
 
 class KVCache:
-    """Key/value entries with segment tags, laid out as the module says.
+    """Key/value entries, laid out as the module says.
 
     Layers start with no rows; prefill's `extend_layer` sizes each to
     exactly what it brings.
@@ -76,21 +75,13 @@ class KVCache:
         self.head_dim = head_dim
         self.keys = [np.zeros((n_heads, 0, head_dim), np.float32) for _ in range(n_layers)]
         self.values = [np.zeros((n_heads, 0, head_dim), np.float32) for _ in range(n_layers)]
-        self.positions = [np.zeros((n_heads, 0), np.int64) for _ in range(n_layers)]
-        self.segments = [np.zeros((n_heads, 0), np.int8) for _ in range(n_layers)]
         self.counts = np.zeros((n_layers, n_heads), dtype=np.int64)
-        # The last position brought to each layer, whether its entry was kept or not.
-        self._last = [-1] * n_layers
         self._heads = np.arange(n_heads)
-
-    def _fields(self) -> tuple[list[np.ndarray], ...]:
-        return self.keys, self.values, self.positions, self.segments
 
     def head(self, layer: int, h: int) -> HeadView:
         """Head h's live entries in a layer."""
         n = self.counts[layer, h]
-        return HeadView(self.keys[layer][h, :n], self.values[layer][h, :n],
-                        self.positions[layer][h, :n], self.segments[layer][h, :n])
+        return HeadView(self.keys[layer][h, :n], self.values[layer][h, :n])
 
     def _grow(self, layer: int) -> None:
         """Make room for one more row in every head of a layer."""
@@ -99,54 +90,38 @@ class KVCache:
         if top < cap:
             return
         new_cap = max(cap + cap // _GROWTH_DIV, top + 1)
-        for field in self._fields():
+        for field in (self.keys, self.values):
             old = field[layer]
-            buf = np.empty(old.shape[:1] + (new_cap,) + old.shape[2:], dtype=old.dtype)
+            buf = np.zeros((old.shape[0], new_cap, old.shape[2]), dtype=old.dtype)
             buf[:, :top] = old[:, :top]
-            buf[:, top:] = 0
             field[layer] = buf
 
-    def append(self, layer: int, keys: np.ndarray, values: np.ndarray, position: int, segment: int) -> None:
+    def append(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Append one entry to every head of a layer (decode path), each after
         its head's own entries; a rejected append changes nothing."""
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range [0, {self.n_layers})")
         keys = np.asarray(keys, dtype=np.float32).reshape(self.n_heads, self.head_dim)
         values = np.asarray(values, dtype=np.float32).reshape(self.n_heads, self.head_dim)
-        if position <= self._last[layer]:
-            raise ValueError(f"out-of-order append: position {position} <= last "
-                             f"{self._last[layer]} (layer {layer})")
         self._grow(layer)
         n = self.counts[layer]
         self.keys[layer][self._heads, n] = keys
         self.values[layer][self._heads, n] = values
-        self.positions[layer][self._heads, n] = position
-        self.segments[layer][self._heads, n] = segment
         n += 1
-        self._last[layer] = position
 
     def extend_layer(self, layer: int, keys: np.ndarray, values: np.ndarray,
-                     positions: np.ndarray, segments: np.ndarray,
                      retained: Optional[np.ndarray] = None) -> None:
         """Fill an empty layer during prefill from its n entries, keys and
         values (H, n, hd): every head holds all n, or with `retained` (H, n)
         only the entries its row marks, in row order.
-
-        Positions must be non-decreasing: merged tokens may share a
-        position slot with the token after them, so strict ordering is
-        only enforced on the single-entry decode path.
         """
         if not 0 <= layer < self.n_layers:
             raise ValueError(f"layer {layer} out of range [0, {self.n_layers})")
         if self.counts[layer].any():
             raise ValueError(f"layer {layer} is already filled")
-        positions = np.asarray(positions, dtype=np.int64)
-        segments = np.asarray(segments, dtype=np.int8)
-        if np.any(np.diff(positions) < 0):
-            raise ValueError(f"prefill positions must be non-decreasing (layer {layer})")
-        shape = (self.n_heads, positions.shape[0], self.head_dim)
-        sources = [np.asarray(a, np.float32).reshape(shape) for a in (keys, values)]
-        sources += [np.broadcast_to(a, shape[:2]) for a in (positions, segments)]
+        keys = np.asarray(keys, np.float32).reshape(self.n_heads, -1, self.head_dim)
+        sources = [keys, np.asarray(values, np.float32).reshape(keys.shape)]
+        shape = keys.shape
         if retained is None:
             bufs = [np.array(src, order="C") for src in sources]
             counts = shape[1]
@@ -160,13 +135,8 @@ class KVCache:
             bufs = [src[rows] for src in sources]
             for buf in bufs:
                 buf[pad] = 0
-        for field, buf in zip(self._fields(), bufs):
-            field[layer] = buf
+        self.keys[layer], self.values[layer] = bufs
         self.counts[layer] = counts
-        self._last[layer] = int(positions.max(initial=-1))
-
-    def next_position(self) -> int:
-        return max(self._last) + 1
 
     def entries_per_layer(self) -> list[int]:
         return self.counts.sum(axis=1).tolist()
@@ -219,58 +189,56 @@ def retention(raw_scores: np.ndarray, segments: np.ndarray,
 
 
 def compress_all(cache: KVCache, scores: Sequence[Optional[np.ndarray]],
-                 config: CompressionConfig) -> KVCache:
+                 segments: Sequence[np.ndarray], config: CompressionConfig) -> KVCache:
     """A new cache keeping what compression of every layer >= start_layer
     keeps from an uncompressed `cache` (prefill's, with compression off).
 
-    scores[layer] gives one raw score per head and entry; see `retention`.
+    scores[layer] gives one raw score per head and entry, and segments[layer]
+    the `(n,)` kinds of the layer's entries; see `retention`.
     """
     if len(scores) < cache.n_layers:
         raise ValueError(f"scores cover {len(scores)} layers, cache has {cache.n_layers}")
     out = KVCache(cache.n_layers, cache.n_heads, cache.head_dim)
     for layer in range(cache.n_layers):
         n = cache.counts[layer, 0]
-        keys, values, positions, segments = (f[layer][:, :n] for f in cache._fields())
         retained = None
         if layer >= config.start_layer:
             if scores[layer] is None:
                 raise ValueError(f"missing scores for layer {layer} (start_layer {config.start_layer})")
-            retained, _ = retention(scores[layer], segments[0], config)
-        out.extend_layer(layer, keys, values, positions[0], segments[0], retained)
+            retained, _ = retention(scores[layer], segments[layer], config)
+        out.extend_layer(layer, cache.keys[layer][:, :n], cache.values[layer][:, :n], retained)
     return out
 
 
 @dataclass(frozen=True)
 class MemoryEstimate:
     total: int        # logical: live entries x 2 vectors x head_dim x 4 bytes
-    allocated: int    # buffer capacity held for keys, values, positions and segments, padding included
+    allocated: int    # buffer capacity held for keys and values, padding included
 
 
 def memory_estimate(cache: KVCache) -> MemoryEstimate:
     """Logical bytes of the live entries, and the bytes actually allocated."""
     total = int(cache.counts.sum()) * 2 * cache.head_dim * 4
-    allocated = sum(buf.nbytes for field in cache._fields() for buf in field)
+    allocated = sum(k.nbytes + v.nbytes for k, v in zip(cache.keys, cache.values))
     return MemoryEstimate(total, allocated)
 
 
-def dump_snapshot(cache: KVCache, audits: Sequence[Optional[LayerAudit]], path) -> None:
+def dump_snapshot(audits: Sequence[LayerAudit], n_heads: int, path) -> None:
     """Debug CSV: one row per layer/head/entry with retention info.
 
-    `audits[layer]` is the layer's `LayerAudit` from prefill, or None. A
-    layer with an audit reports every entry prefill brought to it, evicted
-    or not; a layer without one reports its live entries as retained with
-    an empty score field.
+    `audits[layer]` is the layer's `LayerAudit` from `prefill(..., audit=True)`.
+    Every entry prefill brought to a layer is reported, evicted or not; an
+    uncompressed layer reports each as retained with an empty score field.
     """
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "head", "position", "segment", "retained", "score"])
-        for li, audit in zip(range(cache.n_layers), audits, strict=True):
-            for h in range(cache.n_heads):
-                if audit is not None:
+        for li, audit in enumerate(audits):
+            for h in range(n_heads):
+                if audit.retained is not None:
                     for p, s, r, v in zip(audit.positions, audit.segments,
                                           audit.retained[h], audit.scores[h]):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), int(r), f"{v:.8g}"])
                 else:
-                    hv = cache.head(li, h)
-                    for p, s in zip(hv.positions, hv.segments):
+                    for p, s in zip(audit.positions, audit.segments):
                         w.writerow([li, h, int(p), Segment(int(s)).name.lower(), 1, ""])

@@ -10,11 +10,12 @@ layer's attention. Cache compression decides each layer's retained
 entries from that layer's own prefill-time per-head cumulative scores
 before the layer is written, and the cache stores only those, so no
 layer's evicted entries are ever held in the cache. Entries appended
-during decode are never compressed.
+during decode are never compressed. The cache holds keys and values
+only; positions and segments live in the input and the layer audits.
 
 Prefill leaves one `LayerRecord` per layer in `RunMetrics.layers`: token
 counts, cache entries, image-token importance, the merge stage's
-survivors and, when asked, the layer's eviction audit.
+survivors and, when asked, the layer's `LayerAudit`.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class LayerRecord:
     importance: np.ndarray         # head-averaged score of each image token attended over
     # merge layers only: original positions of the image tokens that survived unmerged
     kept_positions: Optional[np.ndarray] = None
-    # compressed layers, only when prefill is asked to audit
+    # every layer, only when prefill is asked to audit
     evictions: Optional[LayerAudit] = None
 
 
@@ -108,7 +109,7 @@ class RunMetrics:
     decode_ms_per_token: list[float] = field(default_factory=list)
     layers: list[LayerRecord] = field(default_factory=list)
     memory_bytes: int = 0         # logical bytes of live K/V entries
-    allocated_bytes: int = 0      # K/V/position/segment buffer bytes held
+    allocated_bytes: int = 0      # K/V buffer bytes held
 
 
 @dataclass(frozen=True)
@@ -259,8 +260,9 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
             audit: bool = False) -> PrefillResult:
     """Run every layer over the input, merging and compressing as configured.
 
-    `audit` stores each compressed layer's eviction audit in its
-    `LayerRecord.evictions`, for `dump_snapshot` and the decode oracle.
+    `audit` stores each layer's `LayerAudit` in its `LayerRecord.evictions`,
+    for `dump_snapshot` and the decode oracle; an uncompressed layer's has
+    `retained` and `scores` None.
 
     Only the last row's next-token logits are computed, with the product
     `decode_step` takes: the result's `logits` is that `(vocab,)` vector,
@@ -270,6 +272,9 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         raise ValueError("prefill input must be nonempty")
     if seq.dim != model.config.dim:
         raise ValueError(f"input dim {seq.dim} != model dim {model.config.dim}")
+    # equal positions are in order: a merged token may share one with the next token
+    if np.any(np.diff(seq.positions) < 0):
+        raise ValueError("prefill positions must be non-decreasing")
     cfg = model.config
     pipeline.check_layers(cfg.n_layers)
     schedule, compression = pipeline.merge_schedule, pipeline.compression
@@ -287,11 +292,11 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         x = layer_norm(hidden)
         att = multi_head_attention(x, lw.attn)
         cum = att.cum_scores
-        retained = evictions = None
+        retained = scores = None
         if compression is not None and li >= compression.start_layer:
             retained, scores = retention(cum, segs, compression)
-            evictions = LayerAudit(poss.copy(), segs.copy(), retained, scores) if audit else None
-        cache.extend_layer(li, att.keys, att.values, poss, segs, retained)
+        evictions = LayerAudit(poss.copy(), segs.copy(), retained, scores) if audit else None
+        cache.extend_layer(li, att.keys, att.values, retained)
         hidden = hidden + att.context
         del x, att  # only the scores are needed past this point
         hidden += _mlp(layer_norm(hidden), lw)  # hidden is this layer's own array
@@ -333,7 +338,6 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
     cfg = model.config
     h_count = cfg.n_heads
     hd = cfg.dim // h_count
-    pos = cache.next_position()
     hidden = model.embed[token_id][None, :].copy()
 
     for li, lw in enumerate(model.layers):
@@ -341,7 +345,7 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
         q = (x @ lw.attn.wq).reshape(h_count, hd)
         k = (x @ lw.attn.wk).reshape(h_count, hd)
         v = (x @ lw.attn.wv).reshape(h_count, hd)
-        cache.append(li, k, v, pos, Segment.GENERATED)
+        cache.append(li, k, v)
         ctx = attend_single_query(q, cache.keys[li], cache.values[li], cache.counts[li])
         hidden = hidden + ctx.reshape(1, cfg.dim) @ lw.attn.wo
         hidden = hidden + _mlp(layer_norm(hidden), lw)

@@ -13,7 +13,18 @@ import numpy as np
 
 from .attention import AttentionWeights
 from .merge import Segment, TokenSequence, is_image_segment, pyramid_merge_layer
-from .model import Model, PipelineConfig, _mlp, layer_norm
+from .model import LayerWeights, Model, PipelineConfig
+
+
+def _layer_norm(x: np.ndarray) -> np.ndarray:
+    mean = x.mean(axis=1, keepdims=True)
+    return (x - mean) / np.sqrt(x.var(axis=1, keepdims=True) + np.float32(1e-5))
+
+
+def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
+    a = x @ lw.w1 + lw.b1
+    gelu = 0.5 * a * (1.0 + np.tanh(0.7978845608028654 * (a + 0.044715 * a * a * a)))  # sqrt(2/pi)
+    return gelu @ lw.w2 + lw.b2
 
 
 def naive_weighted_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
@@ -101,7 +112,7 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
 
     hidden, segs, poss = seq.embeddings, seq.segments, seq.positions
     for li, lw in enumerate(model.layers):
-        x = layer_norm(hidden)
+        x = _layer_norm(hidden)
         prefill_rows = segs != Segment.GENERATED
         keep = None if retained is None else retained[li]
         if keep is not None and keep.shape != (lw.attn.n_heads, int(prefill_rows.sum())):
@@ -109,14 +120,14 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
                              f"{int(prefill_rows.sum())} prefill rows")
         context, _, scores = full_attention(x, lw.attn, None if keep is None else ~keep)
         hidden = hidden + context
-        hidden = hidden + _mlp(layer_norm(hidden), lw)
+        hidden = hidden + _mlp(_layer_norm(hidden), lw)
         if li in keep_counts:
             col_sums = scores[:, prefill_rows, :].sum(axis=1)
             importance = col_sums.mean(axis=0)[is_image_segment(segs)]
             merged = pyramid_merge_layer(TokenSequence(hidden, segs, poss), importance,
                                          keep_counts[li])
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
-    return (layer_norm(hidden) @ model.w_out)[-1]
+    return (_layer_norm(hidden) @ model.w_out)[-1]
 
 
 def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
@@ -126,8 +137,7 @@ def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineCo
 
     Compressed decode is replayed from `retained`: per layer, the (H, P)
     mask of the prefill entries each head kept, or None for a layer that
-    kept all of them (`[None if r.evictions is None else r.evictions.retained
-    for r in prefill(..., audit=True).metrics.layers]`).
+    kept all of them (`[r.evictions.retained for r in prefill(..., audit=True).metrics.layers]`).
     """
     if retained is None and pipeline.compression is not None:
         raise ValueError("full_recompute_decode requires compression=None or retained masks")

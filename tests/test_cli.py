@@ -13,7 +13,7 @@ from lightinfer import verify as verify_mod
 from lightinfer.config import EngineConfig, load_config
 from lightinfer.kvcache import CompressionConfig, KVCache, retention
 from lightinfer.merge import Segment
-from lightinfer.model import LayerRecord, PipelineConfig, generate, init_model
+from lightinfer.model import LayerRecord, PipelineConfig, generate, init_model, prefill
 
 BASE_CONFIG = """
 [model]
@@ -278,7 +278,7 @@ def test_analyze_k_counts_ties_as_compression_keeps(tmp_path, monkeypatch):
     retained, _ = retention([importance], segments, CompressionConfig(0.90, 0))
     cache = KVCache(1, 1, 1)
     cache.extend_layer(0, np.zeros((1, 10, 1), np.float32), np.zeros((1, 10, 1), np.float32),
-                       np.arange(10), segments, retained)
+                       retained)
     record = LayerRecord(tokens=10, image_tokens=10, cache_entries=10, importance=importance)
     fake = SimpleNamespace(metrics=SimpleNamespace(layers=[record]))
     monkeypatch.setattr(bench_mod, "prefill", lambda *args, **kwargs: fake)
@@ -313,10 +313,27 @@ def test_config_hash_covers_only_bench_keys_the_command_reads(tmp_path):
 
 
 def test_dump_cache_snapshot(tmp_path):
+    # the tiny model, merging at layers 1-3 and compression from layer 1
+    cfg = write_config(tmp_path)
     out = tmp_path / "snap.csv"
-    assert cli.main(["dump-cache", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    assert cli.main(["dump-cache", "--config", cfg, "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "layer,head,position,segment,retained,score"
+    engine = load_config(cfg)
+    seq = bench_mod._build_seq(engine)
+    pre = prefill(init_model(engine.model), seq, engine.pipeline.build())
+    given = [len(seq)] + [r.tokens for r in pre.metrics.layers[:-1]]
+    snapshot = list(csv.DictReader(out.open()))
+    evicted = 0
+    for li in range(engine.model.n_layers):
+        for h in range(engine.model.n_heads):
+            cells = [r for r in snapshot if (r["layer"], r["head"]) == (str(li), str(h))]
+            assert len(cells) == given[li]
+            assert sum(r["retained"] == "1" for r in cells) == pre.cache.counts[li, h]
+            assert all((r["score"] == "") == (li < 1) for r in cells)
+            evicted += sum(r["retained"] == "0" for r in cells)
+    assert len(snapshot) == 2 * sum(given)
+    assert evicted > 0
 
 
 def test_verify_single_check_passes(capsys):

@@ -16,7 +16,7 @@ from lightinfer.kvcache import (
     memory_estimate,
     retention,
 )
-from lightinfer.merge import Segment, is_image_segment
+from lightinfer.merge import Segment
 from lightinfer.oracle import minimal_coverage_prefix
 
 
@@ -28,18 +28,24 @@ def segments(n_image, n_text):
     return np.array([Segment.IMAGE] * n_image + [Segment.INSTRUCTION] * n_text, dtype=np.int8)
 
 
-def layer_entries(n_heads, n_image, n_text, head_dim=4, seed=0):
-    """Random keys and values (H, n, hd), positions and segments of n_image + n_text entries."""
+def layer_entries(n_heads, n, head_dim=4, seed=0):
+    """Random keys and values (H, n, hd); every head's key i holds i in its
+    first element, so `rows` can tell which entries a head kept."""
     rng = np.random.default_rng(seed)
-    n = n_image + n_text
     keys = rng.standard_normal((n_heads, n, head_dim)).astype(np.float32)
+    keys[:, :, 0] = np.arange(n)
     values = rng.standard_normal((n_heads, n, head_dim)).astype(np.float32)
-    return keys, values, np.arange(n, dtype=np.int64), segments(n_image, n_text)
+    return keys, values
+
+
+def rows(head):
+    """The entries a head holds, in stored order, read back from their keys."""
+    return head.keys[:, 0].astype(int).tolist()
 
 
 def fill_layer(cache, layer, n_image, n_text, head_dim=4, seed=0, retained=None):
-    entries = layer_entries(cache.n_heads, n_image, n_text, head_dim, seed)
-    cache.extend_layer(layer, *entries, retained)
+    keys, values = layer_entries(cache.n_heads, n_image + n_text, head_dim, seed)
+    cache.extend_layer(layer, keys, values, retained)
     return cache
 
 
@@ -62,39 +68,41 @@ def kv(head_dim=4, n_heads=2, fill=0.0):
 
 def test_append_to_empty_layer():
     cache = make_cache()
-    cache.append(0, kv(fill=1.0), kv(fill=2.0), 0, Segment.SYSTEM_PROMPT)
+    cache.append(0, kv(fill=1.0), kv(fill=2.0))
     assert cache.counts[0].tolist() == [1, 1]
 
 
 def test_append_keeps_position_order():
     cache = make_cache()
-    cache.append(0, kv(), kv(), 3, Segment.IMAGE)
-    cache.append(0, kv(), kv(), 5, Segment.IMAGE)
+    cache.append(0, kv(fill=3.0), kv())
+    cache.append(0, kv(fill=5.0), kv())
     for hv in heads(cache):
-        assert hv.positions.tolist() == [3, 5]
-
-
-def test_append_rejects_out_of_order_position():
-    cache = make_cache()
-    cache.append(0, kv(), kv(), 5, Segment.IMAGE)
-    with pytest.raises(ValueError, match="out-of-order"):
-        cache.append(0, kv(), kv(), 4, Segment.IMAGE)
+        assert rows(hv) == [3, 5]
 
 
 def test_rejected_append_leaves_every_head_unchanged():
-    # head 0 keeps only position 0 and head 1 only position 4, so position 3
-    # is in order for head 0 and out of order for head 1
-    cache = fill_layer(make_cache(), 0, n_image=5, n_text=0, retained=np.eye(5, dtype=bool)[[0, 4]])
-    assert [hv.positions.tolist() for hv in heads(cache)] == [[0], [4]]
-    with pytest.raises(ValueError, match="out-of-order"):
-        cache.append(0, kv(), kv(), 3, Segment.GENERATED)
-    assert cache.counts[0].tolist() == [1, 1]
-    assert [hv.positions.tolist() for hv in heads(cache)] == [[0], [4]]
+    # head 0 keeps entry 0 and head 1 entries 0, 2 and 4, so the layer is
+    # full: a rejected append must not grow it, and an accepted one writes
+    # row 1 of head 0 and row 3 of head 1 and leaves the padding zero
+    retained = np.array([[1, 0, 0, 0, 0], [1, 0, 1, 0, 1]], dtype=bool)
+    cache = fill_layer(make_cache(), 0, n_image=5, n_text=0, retained=retained)
+    with pytest.raises(ValueError):
+        cache.append(0, kv(n_heads=3), kv())
+    assert cache.counts[0].tolist() == [1, 3]
+    assert cache.keys[0].shape == (2, 3, 4)
+    assert [rows(hv) for hv in heads(cache)] == [[0], [0, 2, 4]]
+    cache.append(0, kv(fill=7.0), kv(fill=7.0))
+    assert cache.counts[0].tolist() == [2, 4]
+    assert [rows(hv) for hv in heads(cache)] == [[0, 7], [0, 2, 4, 7]]
+    assert [hv.values[-1].tolist() for hv in heads(cache)] == [[7.0] * 4] * 2
+    assert not cache.keys[0][0, 2:].any() and not cache.values[0][0, 2:].any()
 
 
 def test_append_rejects_bad_layer():
+    cache = make_cache()
     with pytest.raises(ValueError, match="layer"):
-        make_cache().append(3, kv(), kv(), 0, Segment.IMAGE)
+        cache.append(3, kv(), kv())
+    assert not cache.counts.any()
 
 
 def test_beta_one_is_bit_identical():
@@ -102,14 +110,14 @@ def test_beta_one_is_bit_identical():
     scores = [np.random.default_rng(1).uniform(0.1, 1, 7) for _ in range(2)]
     cache = compressed(5, 2, scores, 1.0)
     assert cache.counts[0].tolist() == [7, 7]
-    for got, ref in zip(cache._fields(), full._fields()):
+    for got, ref in ((cache.keys, full.keys), (cache.values, full.values)):
         assert got[0].tobytes() == ref[0].tobytes()
 
 
 def test_compress_cumulative_threshold_example():
     cache = compressed(5, 0, [[0.5, 0.2, 0.15, 0.1, 0.05]], 0.9)
     assert cache.counts[0, 0] == 4
-    assert cache.head(0, 0).positions.tolist() == [0, 1, 2, 3]
+    assert rows(cache.head(0, 0)) == [0, 1, 2, 3]
 
 
 def test_per_head_independence_uniform_vs_one_hot():
@@ -121,14 +129,14 @@ def test_per_head_independence_uniform_vs_one_hot():
     counts = cache.counts[0].tolist()
     assert counts[0] == int(np.ceil(0.9 * n))
     assert counts[1] == 1
-    assert cache.head(0, 1).positions.tolist() == [3]
+    assert rows(cache.head(0, 1)) == [3]
 
 
 def test_retained_entries_back_in_position_order():
     cache = compressed(6, 1, [[0.05, 0.3, 0.1, 0.25, 0.2, 0.1, 0.0]], 0.7)
-    pos = cache.head(0, 0).positions.tolist()
-    assert pos == sorted(pos)
-    assert 6 in pos  # text entry survives
+    kept = rows(cache.head(0, 0))
+    assert kept == sorted(kept)
+    assert 6 in kept  # text entry survives
 
 
 def test_compress_rejects_mismatched_scores():
@@ -142,14 +150,14 @@ def test_power_of_two_scaling_keeps_retained_set():
     kept = []
     for k in (0, -40, -1, 1, 40):
         cache = compressed(8, 2, [raw * 2.0 ** k], 0.6)
-        kept.append(cache.head(0, 0).positions.tolist())
+        kept.append(rows(cache.head(0, 0)))
     assert len(kept[0]) < 10
-    assert all(positions == kept[0] for positions in kept)
+    assert all(k == kept[0] for k in kept)
 
 
 def test_zero_image_mass_compresses_as_uniform():
     cache = compressed(16, 1, [np.zeros(17)], 0.5)
-    assert cache.head(0, 0).positions.tolist() == list(range(8)) + [16]
+    assert rows(cache.head(0, 0)) == list(range(8)) + [16]
 
 
 @settings(deadline=None, max_examples=60)
@@ -160,7 +168,7 @@ def test_compress_monotone_in_beta(n, seed):
     kept = []
     for beta in (0.3, 0.6, 0.9, 1.0):
         cache = compressed(n, 0, [raw], beta)
-        kept.append(set(cache.head(0, 0).positions.tolist()))
+        kept.append(set(rows(cache.head(0, 0))))
     for a, b in zip(kept, kept[1:]):
         assert a <= b
 
@@ -170,7 +178,7 @@ def test_compress_monotone_in_beta(n, seed):
 def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, n_image + n_text)
     cache = compressed(n_image, n_text, [raw], beta, seed=seed)
-    assert int((~is_image_segment(cache.head(0, 0).segments)).sum()) == n_text
+    assert rows(cache.head(0, 0))[-n_text:] == list(range(n_image, n_image + n_text))
 
 
 @settings(deadline=None, max_examples=80)
@@ -187,7 +195,7 @@ def test_batched_rule_matches_minimal_prefix_per_head(n_heads, n_image, n_text, 
         expect = minimal_coverage_prefix(norm, beta)
         assert set(np.flatnonzero(retained[h, :n_image]).tolist()) == expect
         assert retained[h, n_image:].all()
-        assert cache.head(0, h).positions.tolist() == sorted(expect) + list(range(n_image, n_image + n_text))
+        assert rows(cache.head(0, h)) == sorted(expect) + list(range(n_image, n_image + n_text))
 
 
 def test_compress_all_respects_start_layer():
@@ -195,18 +203,20 @@ def test_compress_all_respects_start_layer():
     for layer in range(3):
         fill_layer(cache, layer, n_image=6, n_text=1, seed=layer)
     scores = [[np.random.default_rng(9).uniform(0.1, 1, 7)] for _ in range(3)]
-    out = compress_all(cache, scores, CompressionConfig(0.5, 1))
+    out = compress_all(cache, scores, [segments(6, 1)] * 3, CompressionConfig(0.5, 1))
     assert out.counts[0, 0] == 7
     assert out.counts[1, 0] < 7
     assert out.counts[2, 0] < 7
     for layer in range(3):
-        assert out.head(layer, 0).keys.tobytes() == cache.keys[layer][0][out.head(layer, 0).positions].tobytes()
+        hv = out.head(layer, 0)
+        assert hv.keys.tobytes() == cache.keys[layer][0][rows(hv)].tobytes()
+        assert hv.values.tobytes() == cache.values[layer][0][rows(hv)].tobytes()
     assert cache.counts[:, 0].tolist() == [7, 7, 7]  # the uncompressed cache is left as it was
 
 
 def test_compress_all_start_at_end_is_noop():
     cache = fill_layer(make_cache(n_layers=1, n_heads=1), 0, n_image=5, n_text=0)
-    out = compress_all(cache, [None], CompressionConfig(0.5, 1))
+    out = compress_all(cache, [None], [segments(5, 0)], CompressionConfig(0.5, 1))
     assert out.counts[0, 0] == 5
 
 
@@ -215,7 +225,7 @@ def test_compress_all_uniform_scores_same_count_per_layer():
     for layer in range(3):
         fill_layer(cache, layer, n_image=10, n_text=2, seed=layer)
     scores = [[np.ones(12)] for _ in range(3)]
-    out = compress_all(cache, scores, CompressionConfig(0.5, 0))
+    out = compress_all(cache, scores, [segments(10, 2)] * 3, CompressionConfig(0.5, 0))
     assert len(set(out.counts[:, 0].tolist())) == 1
 
 
@@ -226,7 +236,7 @@ def test_compress_all_steeper_scores_retain_fewer():
         fill_layer(cache, layer, n_image=n, n_text=0, seed=layer)
     base = np.linspace(1.0, 2.0, n)
     scores = [[np.power(base, 8.0 * layer + 1.0)] for layer in range(3)]
-    counts = compress_all(cache, scores, CompressionConfig(0.9, 0)).counts[:, 0].tolist()
+    counts = compress_all(cache, scores, [segments(n, 0)] * 3, CompressionConfig(0.9, 0)).counts[:, 0].tolist()
     assert counts[0] > counts[1] > counts[2]
 
 
@@ -235,7 +245,7 @@ def test_compress_all_missing_layer_rejected():
     fill_layer(cache, 0, 4, 0)
     fill_layer(cache, 1, 4, 0)
     with pytest.raises(ValueError, match="missing scores"):
-        compress_all(cache, [[np.ones(4)], None], CompressionConfig(0.9, 0))
+        compress_all(cache, [[np.ones(4)], None], [segments(4, 0)] * 2, CompressionConfig(0.9, 0))
 
 
 def test_memory_estimate_empty():
@@ -246,9 +256,7 @@ def test_memory_estimate_arithmetic():
     cache = KVCache(1, 1, 64)
     rng = np.random.default_rng(0)
     cache.extend_layer(0, rng.standard_normal((1, 10, 64)).astype(np.float32),
-                       rng.standard_normal((1, 10, 64)).astype(np.float32),
-                       np.arange(10, dtype=np.int64),
-                       np.full(10, Segment.IMAGE, dtype=np.int8))
+                       rng.standard_normal((1, 10, 64)).astype(np.float32))
     est = memory_estimate(cache)
     assert est.total == 10 * 2 * 64 * 4 == 5120
 
@@ -262,16 +270,16 @@ def test_memory_tracks_retained_fraction():
 
 
 def test_snapshot_csv(tmp_path):
-    cache = make_cache(n_layers=2, n_heads=1)
-    fill_layer(cache, 0, 3, 1)
     retained, scores = retention([[0.7, 0.2, 0.1, 0.0]], segments(3, 1), CompressionConfig(0.8, 1))
-    fill_layer(cache, 1, 3, 1, retained=retained)
-    audit = LayerAudit(np.arange(4), segments(3, 1), retained, scores)
+    uncompressed = LayerAudit(np.arange(4), segments(3, 1), None, None)
+    compressed_layer = LayerAudit(np.arange(4), segments(3, 1), retained, scores)
     out = tmp_path / "snap.csv"
-    dump_snapshot(cache, [None, audit], out)
-    rows = list(csv.DictReader(out.open()))
-    assert {r["layer"] for r in rows} == {"0", "1"}
-    layer1 = [r for r in rows if r["layer"] == "1"]
+    dump_snapshot([uncompressed, compressed_layer], 1, out)
+    csv_rows = list(csv.DictReader(out.open()))
+    assert {r["layer"] for r in csv_rows} == {"0", "1"}
+    layer0 = [r for r in csv_rows if r["layer"] == "0"]
+    assert [(r["retained"], r["score"]) for r in layer0] == [("1", "")] * 4
+    layer1 = [r for r in csv_rows if r["layer"] == "1"]
     assert len(layer1) == 4  # audit covers dropped entries too
     assert {r["retained"] for r in layer1} == {"0", "1"}
     dropped = [r for r in layer1 if r["retained"] == "0"]
@@ -285,7 +293,7 @@ def test_audit_recorded_only_when_asked(tiny_model, tiny_seq):
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=6, n_text=1, retained=retained)
     assert retained.shape == recorded.shape == (2, 7)
     for kept, row, hv in zip(retained, recorded, heads(cache)):
-        assert np.arange(7)[kept].tolist() == hv.positions.tolist()
+        assert np.arange(7)[kept].tolist() == rows(hv)
         # image scores are recorded normalized, the text entry's as given
         assert row[:6].sum() == pytest.approx(1.0)
         assert row[6] == 7.0
@@ -308,22 +316,20 @@ def test_extend_layer_keeps_each_heads_marked_entries(n_heads, n_image, n_text, 
     rng = np.random.default_rng(seed)
     retained = rng.uniform(size=(n_heads, n)) < p
     retained[0, :n_image] &= not blind
-    keys, values, positions, segs = entries = layer_entries(n_heads, n_image, n_text, seed=seed)
+    keys, values = layer_entries(n_heads, n, seed=seed)
     cache = make_cache(n_heads=n_heads)
-    cache.extend_layer(0, *entries, retained)
+    cache.extend_layer(0, keys, values, retained)
     counts = retained.sum(axis=1)
     top = int(counts.max())
     assert cache.counts[0].tolist() == counts.tolist()
     assert cache.keys[0].shape == cache.values[0].shape == (n_heads, top, 4)
-    assert cache.positions[0].shape == cache.segments[0].shape == (n_heads, top)
     for h, hv in enumerate(heads(cache)):
         assert hv.keys.tobytes() == keys[h][retained[h]].tobytes()
         assert hv.values.tobytes() == values[h][retained[h]].tobytes()
-        assert hv.positions.tolist() == positions[retained[h]].tolist()
-        assert hv.segments.tolist() == segs[retained[h]].tolist()
-        for field in cache._fields():
-            assert not field[0][h, counts[h]:].any()
-    assert memory_estimate(cache).allocated == n_heads * top * (2 * 4 * 4 + 8 + 1)
+        assert rows(hv) == np.flatnonzero(retained[h]).tolist()
+        for buf in (cache.keys[0], cache.values[0]):
+            assert not buf[h, counts[h]:].any()
+    assert memory_estimate(cache).allocated == n_heads * top * 2 * 4 * 4
 
 
 def test_extend_layer_rejects_bad_layer():
@@ -341,14 +347,20 @@ def test_extend_layer_rejects_mask_of_wrong_shape():
     assert not cache.counts.any()
 
 
+def test_extend_layer_rejects_values_of_another_length():
+    keys, values = layer_entries(2, 5)
+    cache = make_cache(n_heads=2)
+    with pytest.raises(ValueError):
+        cache.extend_layer(0, keys, values[:, :4])
+    assert not cache.counts.any()
+
+
 def test_grow_adds_an_eighth_of_capacity():
-    cache = make_cache(n_heads=1)
-    cache.extend_layer(0, np.zeros((1, 64, 4), np.float32), np.zeros((1, 64, 4), np.float32),
-                       np.arange(64), np.full(64, Segment.GENERATED, dtype=np.int8))
+    cache = fill_layer(make_cache(n_heads=1), 0, n_image=0, n_text=64)
     assert cache.keys[0].shape[1] == 64
-    cache.append(0, kv(n_heads=1), kv(n_heads=1), 64, Segment.GENERATED)
-    assert cache.keys[0].shape[1] == 64 + 64 // _GROWTH_DIV
-    assert cache.head(0, 0).positions.tolist() == list(range(65))
+    cache.append(0, kv(n_heads=1, fill=64.0), kv(n_heads=1))
+    assert cache.keys[0].shape[1] == cache.values[0].shape[1] == 64 + 64 // _GROWTH_DIV
+    assert rows(cache.head(0, 0)) == list(range(65))
 
 
 def test_extend_layer_fills_only_an_empty_layer():
@@ -361,8 +373,8 @@ def test_extend_layer_fills_only_an_empty_layer():
 def test_memory_estimate_allocated_counts_capacity():
     cache = fill_layer(make_cache(n_heads=2), 0, n_image=30, n_text=2)
     est = memory_estimate(cache)
-    row = 2 * 4 * 4 + 8 + 1  # key + value float32, int64 position, int8 segment
+    row = 2 * 4 * 4  # key + value float32
     assert est.allocated == 2 * 32 * row
     assert est.total == 2 * 32 * 2 * 4 * 4
-    cache.append(0, kv(), kv(), 32, Segment.GENERATED)
+    cache.append(0, kv(), kv())
     assert memory_estimate(cache).allocated == 2 * (32 + 32 // _GROWTH_DIV) * row

@@ -15,8 +15,11 @@ from lightinfer import (
 )
 import lightinfer.model as model_mod
 from lightinfer.kvcache import compress_all, memory_estimate
+from lightinfer.merge import TokenSequence
 from lightinfer.model import _MLP_ROWS, _gelu, _mlp, layer_norm
 from lightinfer.oracle import _forward_no_cache
+from lightinfer.oracle import _layer_norm as oracle_layer_norm
+from lightinfer.oracle import _mlp as oracle_mlp
 
 from conftest import pipeline
 
@@ -108,13 +111,18 @@ def test_prefill_token_ledger(tiny_model, tiny_seq):
 
 
 def test_prefill_cache_matches_compression_ledger(tiny_model, tiny_seq):
-    pre = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.25, beta=0.6, start_layer=1))
+    pre = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.25, beta=0.6, start_layer=1), audit=True)
     cache = pre.cache
-    for li in range(cache.n_layers):
+    for li, rec in enumerate(pre.metrics.layers):
+        segs = rec.evictions.segments
+        retained = rec.evictions.retained
+        if retained is None:
+            retained = np.ones((cache.n_heads, len(segs)), dtype=bool)
+        img = (segs == Segment.IMAGE) | (segs == Segment.MERGED_IMAGE)
         for h in range(cache.n_heads):
-            segs = cache.head(li, h).segments
-            n_img = int(((segs == Segment.IMAGE) | (segs == Segment.MERGED_IMAGE)).sum())
-            n_text = len(segs) - n_img
+            assert retained[h].sum() == cache.counts[li, h]
+            n_img = int(retained[h][img].sum())
+            n_text = int(retained[h][~img].sum())
             assert n_text == 10
             if li >= 1:
                 assert n_img < [34, 34, 25, 19][li] - 10
@@ -129,20 +137,41 @@ def test_layer_record_on_compressed_prefill(tiny_model, tiny_seq):
 
     audited = prefill(tiny_model, tiny_seq, p, audit=True)
     assert [r.cache_entries for r in audited.metrics.layers] == pre.cache.entries_per_layer()
+    # compression changes no hidden state, so the uncompressed cache holds
+    # every entry the compressed layers chose from
+    full = prefill(tiny_model, tiny_seq, pipeline(keep_ratio=0.5, compression=False)).cache
     evicted = 0
     cache = audited.cache
     for li, rec in enumerate(audited.metrics.layers):
-        if li < 1:
-            assert rec.evictions is None
-            continue
         pos, retained = rec.evictions.positions, rec.evictions.retained
-        assert retained.shape == (cache.n_heads, len(pos))
-        # the audit covers every entry the layer cached: the previous layer's exit
-        assert len(pos) == audited.metrics.layers[li - 1].tokens
+        # the audit covers every entry the layer was given: the previous layer's exit
+        assert len(pos) == (audited.metrics.layers[li - 1].tokens if li else len(tiny_seq))
+        if li < 1:
+            assert retained is None and rec.evictions.scores is None
+            continue
+        assert retained.shape == rec.evictions.scores.shape == (cache.n_heads, len(pos))
         for h in range(cache.n_heads):
-            assert pos[retained[h]].tolist() == cache.head(li, h).positions.tolist()
+            assert cache.head(li, h).keys.tobytes() == full.head(li, h).keys[retained[h]].tobytes()
+            assert cache.head(li, h).values.tobytes() == full.head(li, h).values[retained[h]].tobytes()
         evicted += int((~retained).sum())
     assert evicted > 0
+
+
+def test_prefill_rejects_decreasing_positions(monkeypatch, tiny_model, tiny_seq):
+    def no_layer_runs(*args):
+        raise AssertionError("a layer ran")
+
+    swapped = tiny_seq.positions.copy()
+    swapped[[5, 6]] = swapped[[6, 5]]
+    seq = TokenSequence(tiny_seq.embeddings, tiny_seq.segments, swapped)
+    with monkeypatch.context() as mp:
+        mp.setattr(model_mod, "multi_head_attention", no_layer_runs)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            prefill(tiny_model, seq, pipeline())
+    # merged tokens share a position with the token after them: equal is in order
+    repeated = tiny_seq.positions.copy()
+    repeated[6] = repeated[5]
+    prefill(tiny_model, TokenSequence(tiny_seq.embeddings, tiny_seq.segments, repeated), pipeline())
 
 
 def test_prefill_rejects_empty_and_wrong_dim(tiny_model):
@@ -153,11 +182,17 @@ def test_prefill_rejects_empty_and_wrong_dim(tiny_model):
 def test_decode_grows_cache_by_one_per_step(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(merging=False, compression=False))
     before = pre.cache.counts.copy()
+    held = [pre.cache.head(li, 0).keys.copy() for li in range(pre.cache.n_layers)]
     logits, cache = decode_step(tiny_model, pre.cache, 7)
     assert np.array_equal(cache.counts, before + 1)
     assert logits.shape == (64,)
     for li in range(cache.n_layers):
-        assert cache.head(li, 0).segments[-1] == Segment.GENERATED
+        assert np.array_equal(cache.head(li, 0).keys[:-1], held[li])
+    # layer 0's input is the token's embedding: the new key is its projection
+    attn = tiny_model.layers[0].attn
+    k = (layer_norm(tiny_model.embed[7][None, :]) @ attn.wk).reshape(cache.n_heads, -1)
+    for h in range(cache.n_heads):
+        assert np.array_equal(cache.head(0, h).keys[-1], k[h])
 
 
 def test_decode_step_requires_populated_cache(tiny_model):
@@ -208,6 +243,7 @@ def test_mlp_bit_identical_to_one_shot(rows):
     x = np.random.default_rng(rows).standard_normal((rows, 256)).astype(np.float32)
     expect = _gelu(x @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
     assert np.array_equal(_mlp(x, lw), expect)
+    assert np.array_equal(oracle_mlp(x, lw), expect)
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -240,6 +276,7 @@ def test_layer_norm_bit_identical_to_literal_expression(shape):
     expect = (x - mean) / np.sqrt(var + np.float32(1e-5))
     before = x.copy()
     assert np.array_equal(bits(layer_norm(x)), bits(expect))
+    assert np.array_equal(bits(oracle_layer_norm(x)), bits(expect))
     assert np.array_equal(x, before)
 
 
@@ -283,7 +320,7 @@ def test_merge_kept_positions_are_nested(tiny_model, tiny_seq):
 
 
 def prefill_recording_scores(monkeypatch, model, seq, pipe):
-    """Prefill, also returning each layer's raw per-head cumulative scores."""
+    """Audited prefill, also returning each layer's raw per-head cumulative scores."""
     scores = []
 
     def recording(hidden, weights):
@@ -294,7 +331,7 @@ def prefill_recording_scores(monkeypatch, model, seq, pipe):
     attention = model_mod.multi_head_attention
     with monkeypatch.context() as mp:
         mp.setattr(model_mod, "multi_head_attention", recording)
-        pre = prefill(model, seq, pipe)
+        pre = prefill(model, seq, pipe, audit=True)
     return pre, scores
 
 
@@ -303,8 +340,6 @@ def assert_same_cache(a, b):
     for li in range(a.n_layers):
         for h in range(a.n_heads):
             ha, hb = a.head(li, h), b.head(li, h)
-            assert np.array_equal(ha.positions, hb.positions)
-            assert np.array_equal(ha.segments, hb.segments)
             assert ha.keys.tobytes() == hb.keys.tobytes()
             assert ha.values.tobytes() == hb.values.tobytes()
 
@@ -324,7 +359,8 @@ def test_per_layer_compression_equals_end_of_prefill(monkeypatch, beta, merging)
         full, scores = prefill_recording_scores(monkeypatch, model, seq, uncompressed)
         assert (sum(r.cache_entries for r in full.metrics.layers)
                 > sum(r.cache_entries for r in got.metrics.layers))
-        assert_same_cache(got.cache, compress_all(full.cache, scores, pipe.compression))
+        segments = [r.evictions.segments for r in full.metrics.layers]
+        assert_same_cache(got.cache, compress_all(full.cache, scores, segments, pipe.compression))
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5])
@@ -338,8 +374,9 @@ def test_allocated_bytes_bounded_after_prefill_and_decode(tiny_model, tiny_seq, 
         logits, cache = decode_step(tiny_model, cache, tok)
         tok = int(np.argmax(logits))
     est = memory_estimate(cache)
+    assert est.allocated == sum(k.nbytes + v.nbytes for k, v in zip(cache.keys, cache.values))
     caps = [k.shape[1] for k in cache.keys]
-    row = 2 * cache.head_dim * 4 + 8 + 1
+    row = 2 * cache.head_dim * 4
     one_growth_step = sum((cap // 8 + 1) * cache.n_heads * row for cap in caps)
     assert est.allocated <= est.total * 9 / 8 + one_growth_step
     assert all(cap <= n + n // 8 + 1 for cap, n in zip(caps, cache.counts.min(axis=1)))
@@ -358,7 +395,7 @@ def test_padding_counts_in_allocated_bytes():
     pre = prefill(model, seq, pipeline(merging=False, beta=0.5, start_layer=0))
     counts = pre.cache.counts
     assert (counts.min(axis=1) < counts.max(axis=1)).all()
-    row = 2 * pre.cache.head_dim * 4 + 8 + 1
+    row = 2 * pre.cache.head_dim * 4
 
     def check(cache, allocated):
         caps = [k.shape[1] for k in cache.keys]
