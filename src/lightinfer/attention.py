@@ -2,9 +2,17 @@
 
 There is one path. Queries are processed in blocks of `_BLOCK` rows; the
 block [s, e) computes logits only against the keys it can see, [:e], and
-masks only the diagonal tile. Each call makes one logits buffer, sized for
-its largest block, and every block writes its logits into a contiguous view
-of it, so no NxN matrix is ever held and no block maps fresh memory. The
+masks only the diagonal tile. Every call works in a `Workspace`: prefill
+passes one that all its layers reuse, and a call without one makes one
+sized for its input. Its `scratch` block holds the logits, sized for the
+largest query block, and every block writes its logits into a contiguous
+view of it, so no NxN matrix is ever held. q, k, v and k^T lie side by
+side in the `wide` block. Block [s, e) writes its context over q's rows
+[s, e) once its logits gemm has read them; later blocks read only later q
+rows. The context after the output projection goes to the `narrow`
+block, which may hold the call's own input, read only by the
+projections. The returned context, keys and values are views into the
+workspace, so a caller copies what must outlive the next call. The
 1/sqrt(hd) scale is folded into the queries, and the softmax normalisation
 is deferred as in FlashAttention-2: each block keeps the unnormalised
 exponentials, and their reciprocal row sums scale the block's context and
@@ -48,6 +56,7 @@ column sum of attention probabilities (raw, not renormalized per layer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -92,15 +101,42 @@ class AttentionWeights:
 
 @dataclass
 class AttentionOutput:
+    """`context`, `keys` and `values` are views into the call's workspace,
+    valid until it is next written; `cum_scores` is its own array."""
     context: np.ndarray                   # (N, C), after output projection
     cum_scores: np.ndarray                # (H, N) per-key column sums
     keys: np.ndarray                      # (H, N, hd)
     values: np.ndarray                    # (H, N, hd)
 
 
-def _project_heads(hidden: np.ndarray, w: np.ndarray, n_heads: int) -> np.ndarray:
-    n, c = hidden.shape
-    return (hidden @ w).reshape(n, n_heads, c // n_heads).transpose(1, 0, 2)
+class Workspace:
+    """Prefill's per-layer buffers for up to `n` rows of width C = `dim`.
+
+    Each block is flat, so a call with n' <= n rows takes leading views:
+    - `wide`, 4 n C floats: attention's q | k | v | k^T, each n' C long and
+      contiguous; then the MLP's (n', 4C) activation.
+    - `narrow`, n C: the layer-norm output, then the context after the
+      output projection, then the second layer-norm output.
+    - `residual`, n C: the residual stream. Attention does not touch it.
+    - `scratch`, max(H min(_BLOCK, n) n, n C): attention's logits tiles,
+      layer norm's squared deviations and the MLP output.
+
+    The four blocks are views of one allocation, so the workspace is
+    mapped, and freed, as one chunk.
+    """
+
+    def __init__(self, n: int, dim: int, n_heads: int):
+        self.n, self.dim, self.n_heads = n, dim, n_heads
+        sizes = [4 * n * dim, n * dim, n * dim, max(n_heads * min(_BLOCK, n) * n, n * dim)]
+        self.wide, self.narrow, self.residual, self.scratch = np.split(
+            np.empty(sum(sizes), dtype=np.float32), np.cumsum(sizes[:-1]))
+        self.nbytes = 4 * sum(sizes)
+
+
+def rows(block: np.ndarray, n: int, width: int, offset: int = 0) -> np.ndarray:
+    """The (n, width) view of a flat workspace block starting `offset` such views in."""
+    start = offset * n * width
+    return block[start:start + n * width].reshape(n, width)
 
 
 def _max_sq_norm(x: np.ndarray) -> float:
@@ -108,46 +144,60 @@ def _max_sq_norm(x: np.ndarray) -> float:
     return float(np.einsum("hnd,hnd->hn", x, x).max())
 
 
-def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights) -> AttentionOutput:
+def multi_head_attention(hidden: np.ndarray, weights: AttentionWeights,
+                         workspace: Optional[Workspace] = None) -> AttentionOutput:
+    """Causal attention over the rows of `hidden` (N, C), in `workspace`
+    (see `Workspace`) or, without one, in a workspace sized for N.
+
+    `hidden` may be the workspace's `narrow` block: it is read only by the
+    q, k and v projections, before the context overwrites it.
+    """
     hidden = np.asarray(hidden, dtype=np.float32)
     if hidden.ndim != 2 or hidden.shape[0] < 1:
         raise ValueError(f"hidden must be a nonempty 2-D matrix, got shape {hidden.shape}")
     if hidden.shape[1] != weights.dim:
         raise ValueError(f"hidden dim {hidden.shape[1]} != weight dim {weights.dim}")
 
-    n = hidden.shape[0]
+    n, c = hidden.shape
     h = weights.n_heads
     hd = weights.head_dim
+    ws = Workspace(n, c, h) if workspace is None else workspace
+    if (ws.dim, ws.n_heads) != (c, h) or ws.n < n:
+        raise ValueError(f"workspace for {ws.n} rows, dim {ws.dim}, {ws.n_heads} heads "
+                         f"cannot hold {n} rows, dim {c}, {h} heads")
 
-    q = _project_heads(hidden, weights.wq, h)
+    # (n, C) projections and their (H, n, hd) per-head views
+    q2, k2, v2 = (np.matmul(hidden, w, out=rows(ws.wide, n, c, i))
+                  for i, w in enumerate((weights.wq, weights.wk, weights.wv)))
+    q, k, v = (a.reshape(n, h, hd).transpose(1, 0, 2) for a in (q2, k2, v2))
     q *= np.float32(1.0 / np.sqrt(hd))
-    k = _project_heads(hidden, weights.wk, h)
-    v = _project_heads(hidden, weights.wv, h)
 
     # Every logit lies in [-bound, bound]; NaN fails the test and shifts.
     bound = np.sqrt(_max_sq_norm(q) * _max_sq_norm(k))
     shift = not (bound <= _SAFE_LOGIT and n * np.sqrt(_max_sq_norm(v)) <= _SAFE_MASS)
 
-    kt = np.ascontiguousarray(k.transpose(0, 2, 1))
-    ctx = np.empty((n, h, hd), dtype=np.float32)
+    kt = rows(ws.wide, n, c, 3).reshape(h, hd, n)
+    np.copyto(kt, k.transpose(0, 2, 1))
     cum = np.zeros((h, n), dtype=np.float32)
-    buf = np.empty(h * min(_BLOCK, n) * n, dtype=np.float32)
     ones = np.ones((n, 1), dtype=np.float32)
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         # Queries [s, e) see keys [:e]; only the diagonal tile [s, e) x [s, e)
         # holds future keys. p holds the block's unnormalised exponentials.
-        p = buf[:h * (e - s) * e].reshape(h, e - s, e)
+        p = ws.scratch[:h * (e - s) * e].reshape(h, e - s, e)
         np.matmul(q[:, s:e], kt[:, :, :e], out=p)
         np.copyto(p[:, :, s:], np.float32(-np.inf), where=_FUTURE[:e - s, :e - s])
         if shift:
             p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         rinv = np.float32(1.0) / (p @ ones[:e])
-        ctx[s:e] = ((p @ v[:, :e]) * rinv).transpose(1, 0, 2)
+        # The block's context overwrites its own q rows, which only its logits read.
+        ctx = np.matmul(p, v[:, :e], out=q[:, s:e])
+        ctx *= rinv
         cum[:, :e] += (rinv.transpose(0, 2, 1) @ p)[:, 0]
 
-    context = ctx.reshape(n, h * hd) @ weights.wo
+    # q2's rows now hold every block's context
+    context = np.matmul(q2, weights.wo, out=rows(ws.narrow, n, c))
     return AttentionOutput(context=context, cum_scores=cum, keys=k, values=v)
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionWeights, multi_head_attention, attend_single_query
+from .attention import AttentionWeights, Workspace, attend_single_query, multi_head_attention, rows
 # compress_all and partition_tokens stay bound here: the benchmark tracer wraps them by name.
 from .kvcache import (
     CompressionConfig,
@@ -212,17 +212,23 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def layer_norm(x: np.ndarray) -> np.ndarray:
+def layer_norm(x: np.ndarray, out: Optional[np.ndarray] = None,
+               sq: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-row normalization to mean 0 / variance 1, eps 1e-5.
 
     Bit-identical to (x - mean) / sqrt(x.var() + eps): the same float32
     sums, each divided by the row length in float32, which rounds as
     `mean` does; the mean and the centred copy are computed once and the
     divide runs in place. `np.add.reduce` skips the dispatch of `mean`.
+
+    The result is written to `out` and the squared deviations to `sq`,
+    both x's shape and neither x; prefill passes its workspace's `narrow`
+    and `scratch` blocks. Without them, each is a new array.
     """
     n = np.float32(x.shape[1])
-    out = x - np.add.reduce(x, axis=1, keepdims=True) / n
-    out /= np.sqrt(np.add.reduce(np.square(out), axis=1, keepdims=True) / n + np.float32(1e-5))
+    out = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / n, out=out)
+    sq = np.square(out, out=sq)
+    out /= np.sqrt(np.add.reduce(sq, axis=1, keepdims=True) / n + np.float32(1e-5))
     return out
 
 
@@ -231,20 +237,26 @@ def layer_norm(x: np.ndarray) -> np.ndarray:
 _MLP_ROWS = 128
 
 
-def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
+def _mlp(x: np.ndarray, lw: LayerWeights, act: Optional[np.ndarray] = None,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
     """gelu(x @ w1 + b1) @ w2 + b2, with the bias and GELU run in row chunks.
 
     At prefill width the (N, 4C) activation is several MB and the GELU
     makes nine passes over it; in chunks of `_MLP_ROWS` rows each pass
     stays in L2. Both steps are elementwise, so the result is bit-identical
     to running them over the whole activation at once.
+
+    The (N, 4C) activation is written to `act` and the (N, C) result to
+    `out`, neither overlapping x; prefill passes its workspace's `wide`
+    block, after the layer's keys and values are copied into the cache,
+    and its `scratch` block. Without them, each is a new array.
     """
-    a = x @ lw.w1
+    a = np.matmul(x, lw.w1, out=act)
     for s in range(0, a.shape[0], _MLP_ROWS):
         chunk = a[s:s + _MLP_ROWS]
         chunk += lw.b1
         _gelu(chunk)
-    out = a @ lw.w2
+    out = np.matmul(a, lw.w2, out=out)
     out += lw.b2
     return out
 
@@ -267,6 +279,13 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     Only the last row's next-token logits are computed, with the product
     `decode_step` takes: the result's `logits` is that `(vocab,)` vector,
     and no `(N, vocab)` matrix is formed or kept.
+
+    Every layer writes its activations into one `Workspace`, made for each
+    run of layers with equal N: at entry and after each merge stage that
+    shrinks N. The old one is freed only once the next is made. Freed
+    first, its pages went back to the OS and the next one page-faulted
+    them in again. The first layer of a run adds its input into the
+    workspace's residual stream, so the input is never written.
     """
     if len(seq) < 1:
         raise ValueError("prefill input must be nonempty")
@@ -285,29 +304,35 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     segs = seq.segments
     poss = seq.positions
     cache = KVCache(cfg.n_layers, cfg.n_heads, cfg.dim // cfg.n_heads)
+    c = cfg.dim
+    ws = None
 
     metrics = RunMetrics()
 
     for li, lw in enumerate(model.layers):
-        x = layer_norm(hidden)
-        att = multi_head_attention(x, lw.attn)
+        n = hidden.shape[0]
+        if ws is None or ws.n != n:
+            ws = Workspace(n, c, cfg.n_heads)
+        narrow, scratch = rows(ws.narrow, n, c), rows(ws.scratch, n, c)
+        x = layer_norm(hidden, narrow, scratch)
+        att = multi_head_attention(x, lw.attn, ws)
         cum = att.cum_scores
         retained = scores = None
         if compression is not None and li >= compression.start_layer:
             retained, scores = retention(cum, segs, compression)
         evictions = LayerAudit(poss.copy(), segs.copy(), retained, scores) if audit else None
         cache.extend_layer(li, att.keys, att.values, retained)
-        hidden = hidden + att.context
-        del x, att  # only the scores are needed past this point
-        hidden += _mlp(layer_norm(hidden), lw)  # hidden is this layer's own array
+        hidden = np.add(hidden, att.context, out=rows(ws.residual, n, c))
+        del x, att  # views the MLP overwrites; the cache holds copies of the keys and values
+        hidden += _mlp(layer_norm(hidden, narrow, scratch), lw, rows(ws.wide, n, 4 * c), scratch)
 
         img_mask = is_image_segment(segs)
         importance = cum.mean(axis=0)[img_mask]
         kept = None
         if li in keep_counts:
-            cur = TokenSequence(hidden, segs, poss)
-            merged = pyramid_merge_layer(cur, importance, keep_counts[li])
-            if merged is not cur:
+            merged = pyramid_merge_layer(TokenSequence(hidden, segs, poss), importance,
+                                         keep_counts[li])
+            if merged.embeddings is not hidden:
                 kept = merged.positions[merged.segments == Segment.IMAGE]
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
             img_mask = is_image_segment(segs)

@@ -16,6 +16,7 @@ in `SLOW_CHECKS`, which runs only with include_slow or by name.
 from __future__ import annotations
 
 import os
+import resource
 import statistics
 import time
 from dataclasses import dataclass
@@ -216,22 +217,34 @@ def check_prefill_speedup() -> tuple[bool, str]:
     times = {"merged": [], "vanilla": []}
     prefill(model, seq, vanilla)  # warm-up discarded
     load = os.getloadavg()[0]
-    cpu, wall = time.process_time(), time.perf_counter()
+    start = _usage()
     for _ in range(5):
         times["vanilla"].append(prefill(model, seq, vanilla).metrics.prefill_ms)
         times["merged"].append(prefill(model, seq, merged).metrics.prefill_ms)
-    cpu_per_wall = (time.process_time() - cpu) / (time.perf_counter() - wall)
+    usage = _prefill_usage(start, 10)
     v = statistics.median(times["vanilla"])
     m = statistics.median(times["merged"])
     return m <= v / 1.5, (f"median prefill vanilla {v:.0f} ms vs merged {m:.0f} ms "
-                          f"({v / m:.2f}x, need >= 1.5x)" + _contention(cpu_per_wall, load))
+                          f"({v / m:.2f}x, need >= 1.5x)" + _contention(usage, load))
 
 
-def _contention(cpu_per_wall: float, load_before: float) -> str:
-    """Shows a contended timing: prefill's process CPU/wall falls toward 1 when another
-    process takes the cores, and the 1-minute load average before and after the check."""
-    return (f"; prefill CPU/wall {cpu_per_wall:.2f}, "
-            f"load avg {load_before:.2f} -> {os.getloadavg()[0]:.2f}")
+def _usage() -> tuple[float, float, int]:
+    """Process CPU seconds, wall seconds and minor page faults so far."""
+    return time.process_time(), time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _prefill_usage(start: tuple[float, float, int], prefills: int) -> str:
+    """Since `start`: process CPU/wall, which falls toward 1 when another process
+    takes the cores, and minor page faults per prefill, which count the
+    fresh memory the timed prefills touched."""
+    cpu, wall, faults = (b - a for a, b in zip(start, _usage()))
+    return f"; prefill CPU/wall {cpu / wall:.2f}, {faults / prefills:.0f} minor page faults per prefill"
+
+
+def _contention(prefill_usage: str, load_before: float) -> str:
+    """Shows a contended timing: the prefill usage and the 1-minute load average
+    before and after the check."""
+    return f"{prefill_usage}, load avg {load_before:.2f} -> {os.getloadavg()[0]:.2f}"
 
 
 def _cache_image_entries(layers) -> int:
@@ -262,9 +275,9 @@ def check_long_decode_speedup() -> tuple[bool, str]:
     vanilla = PipelineConfig(None, None)
 
     load = os.getloadavg()[0]
-    cpu, wall = time.process_time(), time.perf_counter()
+    start = _usage()
     pre = prefill(model, seq, full, audit=True)
-    cpu_per_wall = (time.process_time() - cpu) / (time.perf_counter() - wall)
+    usage = _prefill_usage(start, 1)
     frac = _cache_image_entries(pre.metrics.layers) / (28 * 4 * 3072)
     if frac > 0.10:
         return False, (f"retained image cache fraction {frac:.3f} > 0.10; "
@@ -291,7 +304,7 @@ def check_long_decode_speedup() -> tuple[bool, str]:
     ok = speedups[long_] >= 1.3 and speedups[long_] > speedups[short]
     return ok, (f"retained image fraction {frac:.3f}; speedup {speedups[short]:.2f}x at {short} "
                 f"vs {speedups[long_]:.2f}x at {long_} (need >= 1.3x and increasing)"
-                + _contention(cpu_per_wall, load))
+                + _contention(usage, load))
 
 
 def check_memory_ledger() -> tuple[bool, str]:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lightinfer import ModelConfig, attention, build_input, init_model
-from lightinfer.attention import (_BLOCK, _SAFE_LOGIT, AttentionWeights, attend_single_query,
-                                  multi_head_attention)
+from lightinfer.attention import (_BLOCK, _SAFE_LOGIT, AttentionWeights, Workspace,
+                                  attend_single_query, multi_head_attention, rows)
 from lightinfer.config import InputConfig
 from lightinfer.model import layer_norm
 from lightinfer.oracle import full_attention
@@ -209,6 +209,39 @@ def test_head_count_must_divide_dim():
 def test_hidden_dim_mismatch_rejected():
     with pytest.raises(ValueError, match="dim"):
         multi_head_attention(random_hidden(4, dim=16), random_weights(dim=32))
+
+
+def test_workspace_too_small_rejected():
+    w = random_weights()
+    for ws in (Workspace(3, w.dim, w.n_heads), Workspace(8, w.dim, 2 * w.n_heads)):
+        with pytest.raises(ValueError, match="workspace"):
+            multi_head_attention(random_hidden(4), w, ws)
+
+
+# Both sides of the query-block boundaries; scale 3.0 takes the shifted softmax.
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+@pytest.mark.parametrize("scale", [0.2, 3.0])
+@pytest.mark.parametrize("input_in_workspace", [False, True])
+def test_stale_workspace_changes_no_bit(n, scale, input_in_workspace):
+    # A NaN-filled workspace for more rows: a read before a write leaves a
+    # NaN. A context row written over a q or k^T row before it is read
+    # departs from the oracle, with or without the stale workspace.
+    w = random_weights(seed=n, scale=scale)
+    hidden = random_hidden(n, seed=n)
+    expect = multi_head_attention(hidden, w)
+    ref_context, ref_cum, _ = full_attention(hidden, w)
+    assert np.abs(expect.context - ref_context).max() <= 1e-4 * np.abs(ref_context).max()
+    assert np.abs(expect.cum_scores - ref_cum).max() <= 1e-4
+    ws = Workspace(2 * 300, w.dim, w.n_heads)
+    for block in (ws.wide, ws.narrow, ws.residual, ws.scratch):
+        block.fill(np.nan)
+    if input_in_workspace:  # as prefill passes it: the layer norm's output in `narrow`
+        inside = rows(ws.narrow, n, w.dim)
+        inside[:] = hidden
+        hidden = inside
+    got = multi_head_attention(hidden, w, ws)
+    for name in ("context", "cum_scores", "keys", "values"):
+        assert np.array_equal(getattr(got, name), getattr(expect, name)), name
 
 
 def softmax_reference(q, keys, values):

@@ -14,6 +14,7 @@ from lightinfer import (
     prefill,
 )
 import lightinfer.model as model_mod
+from lightinfer.attention import Workspace
 from lightinfer.kvcache import compress_all, memory_estimate
 from lightinfer.merge import TokenSequence
 from lightinfer.model import _MLP_ROWS, _gelu, _mlp, layer_norm
@@ -323,8 +324,8 @@ def prefill_recording_scores(monkeypatch, model, seq, pipe):
     """Audited prefill, also returning each layer's raw per-head cumulative scores."""
     scores = []
 
-    def recording(hidden, weights):
-        out = attention(hidden, weights)
+    def recording(*args, **kwargs):
+        out = attention(*args, **kwargs)
         scores.append(out.cum_scores.copy())
         return out
 
@@ -433,3 +434,24 @@ def test_prefill_result_pins_no_logits_matrix():
     bound = memory_estimate(pre.cache).allocated + records + 64 * 1024
     assert len(seq) * model.config.vocab * 4 > bound
     assert held <= bound
+
+
+def test_prefill_temporaries_stay_within_the_workspace():
+    # Past what prefill returns, its peak is its workspace plus small
+    # per-layer arrays (scores, one GELU chunk). The input is made before
+    # tracing starts.
+    model = init_model(ModelConfig(n_layers=3, n_heads=4, dim=64, vocab=512, seed=0))
+    seq = build_input(20, 960, 20, redundancy=0.5, seed=0, dim=64)
+    vanilla = pipeline(merging=False, compression=False)
+    prefill(model, seq, vanilla)  # first-call allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pre = prefill(model, seq, vanilla)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    records = sum(r.importance.nbytes for r in pre.metrics.layers)
+    workspace = Workspace(len(seq), model.config.dim, model.config.n_heads).nbytes
+    assert peak - memory_estimate(pre.cache).allocated - records <= 1.1 * workspace
