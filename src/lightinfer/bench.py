@@ -1,9 +1,10 @@
 """Benchmark, sweep and analysis runners behind the CLI.
 
-All timings come from the monotonic clock inside generate(); bench rows
-are medians over 5 repetitions after one discarded warm-up run, for each
-of the four variants. CSVs carry a config-hash comment line over the
-settings the command reads, so runs of identical settings are comparable.
+All timings come from the monotonic clock inside generate(), whose decode
+steps make ids 2 to max_new (a one-id run has none: its decode mean is nan).
+Bench rows are medians over 5 repetitions after one discarded warm-up run,
+for each of the four variants. CSVs carry a config-hash comment line over
+the settings the command reads, so runs of identical settings are comparable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import statistics
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -42,13 +43,18 @@ def _build_seq(cfg: EngineConfig, seed: Optional[int] = None):
                        inp.seed if seed is None else seed, dim=cfg.model.dim)
 
 
-def _write_csv(path, header: list[str], rows: list[list], cfg_hash: str,
+def _write_csv(path, header: list[str], rows: Iterable[list], cfg_hash: str,
                comment: str = "") -> None:
     with open(path, "w", newline="") as f:
         f.write(f"# config_hash={cfg_hash}{(' ' + comment) if comment else ''}\n")
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _decode_stat(stat, decode_ms: list[float]) -> float:
+    """`stat` of a run's decode step times; nan for a one-id run, which has none."""
+    return stat(decode_ms) if decode_ms else np.nan
 
 
 def _fmt(x) -> str:
@@ -66,8 +72,8 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
     print(f"config_hash={cfg_hash} model_seed={cfg.model.seed} input_seed={cfg.input.seed}")
     print(f"prefill_ms={m.prefill_ms:.3f}")
     dec = m.decode_ms_per_token
-    print(f"decode_ms_per_token mean={statistics.mean(dec):.3f} "
-          f"median={statistics.median(dec):.3f} n={len(dec)}")
+    print(f"decode_ms_per_token mean={_decode_stat(statistics.mean, dec):.3f} "
+          f"median={_decode_stat(statistics.median, dec):.3f} n={len(dec)}")
     print(f"total_ms={m.prefill_ms + sum(dec):.3f}")
     print(f"memory_bytes={m.memory_bytes} allocated_bytes={m.allocated_bytes}")
     print(f"output_tokens={' '.join(str(t) for t in ids)}")
@@ -85,11 +91,6 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
     return m
 
 
-def _timed_runs(model, seq, pipeline: PipelineConfig, max_new: int) -> list[RunMetrics]:
-    generate(model, seq, pipeline, max_new)  # warm-up, discarded
-    return [generate(model, seq, pipeline, max_new)[1] for _ in range(_REPETITIONS)]
-
-
 def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
     model = init_model(cfg.model)
     seq = _build_seq(cfg)
@@ -102,12 +103,13 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
         keep = pipeline.merge_schedule.target_ratio if pipeline.merge_schedule else 1.0
         beta = pipeline.compression.beta if pipeline.compression else 1.0
         for length in cfg.bench.lengths:
-            runs = _timed_runs(model, seq, pipeline, length)
+            generate(model, seq, pipeline, length)  # warm-up, discarded
+            runs = [generate(model, seq, pipeline, length)[1] for _ in range(_REPETITIONS)]
             prefill_ms = statistics.median(r.prefill_ms for r in runs)
             totals = [r.prefill_ms + sum(r.decode_ms_per_token) for r in runs]
             total_ms = statistics.median(totals)
             decode_mean = statistics.median(
-                statistics.mean(r.decode_ms_per_token) for r in runs
+                _decode_stat(statistics.mean, r.decode_ms_per_token) for r in runs
             )
             if variant == "vanilla":
                 vanilla_total[length] = total_ms
@@ -133,7 +135,7 @@ def _sweep_cell(cfg: EngineConfig, model: Model, keep_ratio: float, beta: float,
         drifts.append(float(np.mean([a != b for a, b in zip(ids, ref)])))
         prefills.append(m.prefill_ms)
         totals.append(m.prefill_ms + sum(m.decode_ms_per_token))
-        decmeans.append(statistics.mean(m.decode_ms_per_token))
+        decmeans.append(_decode_stat(statistics.mean, m.decode_ms_per_token))
         memories.append(m.memory_bytes)
     return [
         _fmt(keep_ratio), _fmt(beta), cfg.bench.seeds,
@@ -204,3 +206,32 @@ def do_analyze(cfg: EngineConfig, out: Optional[str] = None) -> tuple[list[list]
                    ["layer"] + [f"p{int(p)}" for p in original_image_positions],
                    mask_rows, cfg.hash())
     return curve_rows, mask_rows
+
+
+def dump_snapshot(audits: Sequence, n_heads: int, path, cfg_hash: str) -> None:
+    """Debug CSV: one row per layer/head/entry with retention info.
+
+    `audits[layer]` is the layer's `LayerAudit` from `prefill(..., audit=True)`.
+    Every entry prefill brought to a layer is reported, evicted or not; an
+    uncompressed layer reports each as retained with an empty score field.
+    """
+    def rows():
+        for li, audit in enumerate(audits):
+            for h in range(n_heads):
+                if audit.retained is not None:
+                    for p, s, r, v in zip(audit.positions, audit.segments,
+                                          audit.retained[h], audit.scores[h]):
+                        yield [li, h, int(p), Segment(int(s)).name.lower(), int(r), f"{v:.8g}"]
+                else:
+                    for p, s in zip(audit.positions, audit.segments):
+                        yield [li, h, int(p), Segment(int(s)).name.lower(), 1, ""]
+
+    _write_csv(path, ["layer", "head", "position", "segment", "retained", "score"],
+               rows(), cfg_hash)
+
+
+def do_dump_cache(cfg: EngineConfig, out: Optional[str] = None) -> None:
+    pre = prefill(init_model(cfg.model), _build_seq(cfg), cfg.pipeline.build(), audit=True)
+    out = out or "cache_snapshot.csv"
+    dump_snapshot([r.evictions for r in pre.metrics.layers], cfg.model.n_heads, out, cfg.hash())
+    print(f"wrote {out}")

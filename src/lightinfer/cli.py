@@ -12,7 +12,6 @@ import sys
 
 from . import bench as bench_mod
 from .config import ConfigError, load_config
-from .kvcache import dump_snapshot
 from .verify import run_checks, select_checks
 
 
@@ -77,13 +76,7 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             bench_mod.do_analyze(cfg, out=args.out)
         elif args.command == "dump-cache":
-            from .model import init_model, prefill
-            model = init_model(cfg.model)
-            seq = bench_mod._build_seq(cfg)
-            pre = prefill(model, seq, cfg.pipeline.build(), audit=True)
-            out = args.out or "cache_snapshot.csv"
-            dump_snapshot([r.evictions for r in pre.metrics.layers], cfg.model.n_heads, out)
-            print(f"wrote {out}")
+            bench_mod.do_dump_cache(cfg, out=args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

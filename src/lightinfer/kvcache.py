@@ -5,7 +5,7 @@ and values as `(H, cap, hd)` tensors, with every head's live count in
 `counts` `(L, H)`. Head h of layer l holds its entries in rows
 `[:counts[l, h]]`; the rows past its count are zeros, so a masked-out
 row never carries NaN into a weighted sum. Positions and segments are
-not stored: prefill records them in each layer's `LayerAudit` when asked.
+not stored: prefill records them in each layer's `model.LayerAudit` when asked.
 
 Compression decides before a layer is written, and the cache stores
 only what it keeps. `retention` maps a layer's per-head scores to one
@@ -22,13 +22,12 @@ largest head. Every buffer is allocated in this module.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .merge import Segment, is_image_segment
+from .merge import is_image_segment
 
 # A full buffer grows by capacity // _GROWTH_DIV rows (at least what is needed).
 _GROWTH_DIV = 8
@@ -50,14 +49,6 @@ class HeadView(NamedTuple):
     """One head's n live entries, as views into its layer's buffers."""
     keys: np.ndarray        # (n, hd), and values too
     values: np.ndarray
-
-
-class LayerAudit(NamedTuple):
-    """The n entries prefill brought to one layer and what each head kept of them."""
-    positions: np.ndarray   # (n,), the same in every head, and segments too
-    segments: np.ndarray
-    retained: Optional[np.ndarray]   # (H, n) bool; None on an uncompressed layer
-    scores: Optional[np.ndarray]     # (H, n) float64, image scores normalized per head
 
 
 class KVCache:
@@ -221,24 +212,3 @@ def memory_estimate(cache: KVCache) -> MemoryEstimate:
     total = int(cache.counts.sum()) * 2 * cache.head_dim * 4
     allocated = sum(k.nbytes + v.nbytes for k, v in zip(cache.keys, cache.values))
     return MemoryEstimate(total, allocated)
-
-
-def dump_snapshot(audits: Sequence[LayerAudit], n_heads: int, path) -> None:
-    """Debug CSV: one row per layer/head/entry with retention info.
-
-    `audits[layer]` is the layer's `LayerAudit` from `prefill(..., audit=True)`.
-    Every entry prefill brought to a layer is reported, evicted or not; an
-    uncompressed layer reports each as retained with an empty score field.
-    """
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "head", "position", "segment", "retained", "score"])
-        for li, audit in enumerate(audits):
-            for h in range(n_heads):
-                if audit.retained is not None:
-                    for p, s, r, v in zip(audit.positions, audit.segments,
-                                          audit.retained[h], audit.scores[h]):
-                        w.writerow([li, h, int(p), Segment(int(s)).name.lower(), int(r), f"{v:.8g}"])
-                else:
-                    for p, s in zip(audit.positions, audit.segments):
-                        w.writerow([li, h, int(p), Segment(int(s)).name.lower(), 1, ""])

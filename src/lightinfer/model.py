@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import InitVar, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .attention import AttentionWeights, Workspace, attend_single_query, multi_h
 from .kvcache import (
     CompressionConfig,
     KVCache,
-    LayerAudit,
     compress_all,  # noqa: F401
     memory_estimate,
     retention,
@@ -88,6 +87,14 @@ class PipelineConfig:
         if self.compression is not None and self.compression.start_layer >= n_layers:
             raise ValueError(f"start_layer {self.compression.start_layer} outside model "
                              f"with {n_layers} layers")
+
+
+class LayerAudit(NamedTuple):
+    """The n entries prefill brought to one layer and what each head kept of them."""
+    positions: np.ndarray   # (n,), the same in every head, and segments too
+    segments: np.ndarray
+    retained: Optional[np.ndarray]   # (H, n) bool; None on an uncompressed layer
+    scores: Optional[np.ndarray]     # (H, n) float64, image scores normalized per head
 
 
 @dataclass
@@ -273,7 +280,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     """Run every layer over the input, merging and compressing as configured.
 
     `audit` stores each layer's `LayerAudit` in its `LayerRecord.evictions`,
-    for `dump_snapshot` and the decode oracle; an uncompressed layer's has
+    for `bench.dump_snapshot` and the decode oracle; an uncompressed layer's has
     `retained` and `scores` None.
 
     Only the last row's next-token logits are computed, with the product
@@ -381,20 +388,18 @@ def decode_step(model: Model, cache: KVCache, token_id: int) -> tuple[np.ndarray
 
 def generate(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
              max_new: int) -> tuple[list[int], RunMetrics]:
-    """Prefill, then max_new greedy decode steps (toy vocab has no stop token)."""
+    """Prefill, then max_new - 1 greedy decode steps for max_new ids (toy vocab
+    has no stop token). Each `decode_ms_per_token` entry times a step and its argmax."""
     if max_new < 1:
         raise ValueError(f"max_new must be >= 1, got {max_new}")
 
     pre = prefill(model, seq, pipeline)
-    metrics = pre.metrics
-    logits, cache = pre.logits, pre.cache
-    ids = []
-    for _ in range(max_new):
-        tok = int(np.argmax(logits))
+    metrics, cache = pre.metrics, pre.cache
+    ids = [int(np.argmax(pre.logits))]
+    for _ in range(max_new - 1):
         t0 = time.perf_counter()
-        logits, cache = decode_step(model, cache, tok)
+        logits, cache = decode_step(model, cache, ids[-1])
+        ids.append(int(np.argmax(logits)))
         metrics.decode_ms_per_token.append((time.perf_counter() - t0) * 1e3)
-        ids.append(tok)
     _record_memory(metrics, cache)
     return ids, metrics
-

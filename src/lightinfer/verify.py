@@ -266,8 +266,9 @@ def check_long_decode_speedup() -> tuple[bool, str]:
     each of 3 repetitions so slow phases of the host hit both sides alike.
 
     Each total is the median prefill time plus the median decode sum at
-    that length. Prefill does not depend on the output length, so each
-    pipeline's prefill times are pooled over both lengths and all reps.
+    that length, over the length - 1 steps that give ids 2 to length.
+    Prefill does not depend on the output length, so each pipeline's
+    prefill times are pooled over both lengths and all reps.
     """
     model = init_model(ModelConfig(n_layers=28, n_heads=4, dim=256, vocab=512, seed=9))
     seq = build_input(30, 3072, 50, redundancy=0.5, seed=9, dim=256)

@@ -193,6 +193,36 @@ def test_engine_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys)
     assert "config error" not in capsys.readouterr().err
 
 
+# A one-id request has no decode step: its decode mean reads nan, and nothing raises.
+
+def test_run_one_id_reports_no_decode_steps(tmp_path, capsys):
+    path = tmp_path / "one.ini"
+    path.write_text(Path(write_config(tmp_path)).read_text().replace("max_new=6", "max_new=1"))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "decode_ms_per_token mean=nan median=nan n=0" in out
+    assert len(output_tokens_line(out).split()) == 1
+
+
+def test_bench_length_one_reports_nan_decode_mean(tmp_path):
+    path, out = tmp_path / "one.ini", tmp_path / "bench.csv"
+    path.write_text(Path(write_config(tmp_path)).read_text().replace("lengths=3,6", "lengths=1,3"))
+    assert cli.main(["bench", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert len(rows) == 8
+    assert all((r["decode_ms_mean"] == "nan") == (r["length"] == "1") for r in rows)
+    assert all(float(r["total_ms"]) > 0 for r in rows)
+
+
+def test_sweep_one_id_reports_nan_decode_mean(tmp_path):
+    path, out = tmp_path / "one.ini", tmp_path / "sweep.csv"
+    path.write_text(Path(write_config(tmp_path)).read_text().replace("max_new=6", "max_new=1"))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert len(rows) == 6
+    assert all(r["decode_ms_mean"] == "nan" for r in rows)
+
+
 def test_bench_csv_contract(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--config", write_config(tmp_path), "--out", str(out)]) == 0
@@ -317,13 +347,14 @@ def test_dump_cache_snapshot(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "snap.csv"
     assert cli.main(["dump-cache", "--config", cfg, "--out", str(out)]) == 0
-    header = out.read_text().splitlines()[0]
-    assert header == "layer,head,position,segment,retained,score"
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"# config_hash={load_config(cfg).hash()}"
+    assert lines[1] == "layer,head,position,segment,retained,score"
     engine = load_config(cfg)
     seq = bench_mod._build_seq(engine)
     pre = prefill(init_model(engine.model), seq, engine.pipeline.build())
     given = [len(seq)] + [r.tokens for r in pre.metrics.layers[:-1]]
-    snapshot = list(csv.DictReader(out.open()))
+    snapshot = list(csv.DictReader(lines[1:]))
     evicted = 0
     for li in range(engine.model.n_layers):
         for h in range(engine.model.n_heads):

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightinfer import PipelineConfig, prefill
+from lightinfer.bench import dump_snapshot
 from lightinfer.kvcache import (
     _GROWTH_DIV,
     CompressionConfig,
     KVCache,
-    LayerAudit,
     compress_all,
-    dump_snapshot,
     memory_estimate,
     retention,
 )
 from lightinfer.merge import Segment
+from lightinfer.model import LayerAudit
 from lightinfer.oracle import minimal_coverage_prefix
 
 
@@ -274,8 +274,10 @@ def test_snapshot_csv(tmp_path):
     uncompressed = LayerAudit(np.arange(4), segments(3, 1), None, None)
     compressed_layer = LayerAudit(np.arange(4), segments(3, 1), retained, scores)
     out = tmp_path / "snap.csv"
-    dump_snapshot([uncompressed, compressed_layer], 1, out)
-    csv_rows = list(csv.DictReader(out.open()))
+    dump_snapshot([uncompressed, compressed_layer], 1, out, "0123abcd")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# config_hash=0123abcd"
+    csv_rows = list(csv.DictReader(lines[1:]))
     assert {r["layer"] for r in csv_rows} == {"0", "1"}
     layer0 = [r for r in csv_rows if r["layer"] == "0"]
     assert [(r["retained"], r["score"]) for r in layer0] == [("1", "")] * 4

@@ -213,10 +213,12 @@ def test_generate_deterministic_across_sessions(tiny_model, tiny_seq):
 
 
 def test_generate_metrics_shapes(tiny_model, tiny_seq):
-    ids, m = generate(tiny_model, tiny_seq, pipeline(), 1)
-    assert len(m.decode_ms_per_token) == 1
-    assert len(ids) == 1
-    assert 0 <= ids[0] < 64
+    # id 1 comes from the prefill logits; each further id takes one decode step
+    for max_new in (1, 5):
+        ids, m = generate(tiny_model, tiny_seq, pipeline(), max_new)
+        assert len(m.decode_ms_per_token) == max_new - 1
+        assert len(ids) == max_new
+    assert all(0 <= t < 64 for t in ids)
     assert len(m.layers) == 4
     merged_sizes = [r.tokens for r in m.layers]
     assert all(a >= b for a, b in zip(merged_sizes, merged_sizes[1:]))

@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 import lightinfer.model as M
-from lightinfer import CompressionConfig, MergeSchedule, ModelConfig, PipelineConfig, init_model
+from lightinfer import (
+    CompressionConfig,
+    MergeSchedule,
+    ModelConfig,
+    PipelineConfig,
+    generate,
+    init_model,
+    memory_estimate,
+)
 
 from conftest import pipeline
 
@@ -73,6 +81,18 @@ def test_workload_pipeline_is_none_exactly_when_off(name, model_14_layers, tiny_
     assert len(reply.ids) == 3
     full = 2 * (len(tiny_seq) + 2) * 14
     assert (sum(reply.cache.entries_per_layer()) == full) == (not (w.merging or w.compression))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_generate_runs_the_benchmark_request_loop(name, model_14_layers, tiny_seq):
+    # both loops take max_new - 1 decode steps and end on the same cache
+    pipe, max_new = workloads.WORKLOADS[name].pipeline(), 5
+    ids, metrics = generate(model_14_layers, tiny_seq, pipe, max_new)
+    reply = workloads.run_request(model_14_layers, tiny_seq, pipe, max_new)
+    assert ids == reply.ids
+    assert len(metrics.decode_ms_per_token) == len(reply.itl_s) == max_new - 1
+    est = memory_estimate(reply.cache)
+    assert (metrics.memory_bytes, metrics.allocated_bytes) == (est.total, est.allocated)
 
 
 def test_keep_counts_of_no_image_tokens_is_empty():
