@@ -29,7 +29,7 @@ class InputConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_system", "n_image", "n_instruction"):
+        for name in ("n_system", "n_image", "n_instruction", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_system + self.n_image + self.n_instruction < 1:

@@ -3,7 +3,8 @@
 Image tokens are reduced at scheduled layers: the highest-importance
 tokens survive untouched, the low-importance tail collapses into a
 single weighted-sum token. Text tokens (system prompt, instruction,
-generated) are never touched.
+generated) are never touched. The IMAGE tokens a stage leaves are its
+survivors, all of them on a stage that keeps every image token.
 """
 
 from __future__ import annotations
@@ -56,23 +57,9 @@ class TokenSequence:
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    def image_mask(self) -> np.ndarray:
-        return is_image_segment(self.segments)
-
-    def image_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.image_mask())
-
     @property
     def n_image(self) -> int:
-        return int(self.image_mask().sum())
-
-    @property
-    def n_text(self) -> int:
-        return len(self) - self.n_image
-
-
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+        return int(is_image_segment(self.segments).sum())
 
 
 def plan_keep_counts(n_image: int, target_ratio: float, n_stages: int) -> list[int]:
@@ -88,12 +75,10 @@ def plan_keep_counts(n_image: int, target_ratio: float, n_stages: int) -> list[i
     if n_image < 1:
         raise ValueError(f"n_image must be >= 1, got {n_image}")
     stage_ratio = target_ratio ** (1.0 / n_stages)
-    counts = []
-    cur = n_image
+    counts = [n_image]
     for _ in range(n_stages):
-        cur = max(1, round_half_up(cur * stage_ratio))
-        counts.append(cur)
-    return counts
+        counts.append(max(1, int(math.floor(counts[-1] * stage_ratio + 0.5))))
+    return counts[1:]
 
 
 @dataclass(frozen=True)
@@ -127,20 +112,14 @@ class MergeSchedule:
         return dict(zip(self.merge_layers, counts))
 
 
-@dataclass(frozen=True)
-class MergePartition:
-    """Index split of the image tokens of one layer.
+def partition_tokens(importance: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split n image tokens into (unmerged, merged): the n - (r + 1) to keep
+    and the r + 1 to collapse.
 
     Indices are into the image-token list (stored order), not the full
     sequence. unmerged is ascending; merged is sorted by descending
     importance (ties broken by lower index, i.e. earlier position).
     """
-
-    unmerged: np.ndarray
-    merged: np.ndarray
-
-
-def partition_tokens(importance: np.ndarray, r: int) -> MergePartition:
     imp = np.asarray(importance, dtype=np.float32)
     n = imp.shape[0]
     if not 0 <= r <= n - 1:
@@ -148,10 +127,7 @@ def partition_tokens(importance: np.ndarray, r: int) -> MergePartition:
     # descending importance, ties to the lower index: the ranking `coverage_prefix` uses
     order = np.argsort(-imp, kind="stable")
     n_keep = n - (r + 1)
-    return MergePartition(
-        unmerged=np.sort(order[:n_keep]),
-        merged=order[n_keep:].copy(),
-    )
+    return np.sort(order[:n_keep]), order[n_keep:]
 
 
 def merge_weights(r: int) -> np.ndarray:
@@ -177,47 +153,34 @@ def merge_tokens(merged_rows: np.ndarray) -> np.ndarray:
 def pyramid_merge_layer(seq: TokenSequence, importance: np.ndarray, keep_count: int) -> TokenSequence:
     """One merge stage: keep keep_count image tokens, collapse the rest.
 
-    importance[i] scores the i-th image token in stored order. Output
-    keeps keep_count-1 top-importance originals in their stored order,
-    followed by one MERGED_IMAGE token whose position id is one past the
-    last retained original (or the first image slot if none survive).
-    Non-image tokens pass through bit-identical.
+    importance[i] scores the i-th image token (IMAGE or MERGED_IMAGE) in
+    stored order. Output keeps the keep_count-1 top-importance image
+    tokens in their stored order, followed by one MERGED_IMAGE token whose
+    position id is one past the last survivor's (or the first image
+    token's, if none survive). Non-image tokens pass through
+    bit-identical. A stage that keeps every image token returns seq
+    itself: merging one token would relabel it MERGED_IMAGE.
     """
-    img_idx = seq.image_indices()
+    img_idx = np.flatnonzero(is_image_segment(seq.segments))
     n_img = img_idx.shape[0]
-    imp = np.asarray(importance, dtype=np.float32)
-    if imp.shape[0] != n_img:
-        raise ValueError(f"{imp.shape[0]} importance scores for {n_img} image tokens")
-    if keep_count < 1:
-        raise ValueError(f"keep_count must be >= 1, got {keep_count}")
-    if keep_count > n_img:
-        raise ValueError(f"keep_count {keep_count} exceeds image-token count {n_img}")
+    if len(importance) != n_img:
+        raise ValueError(f"{len(importance)} importance scores for {n_img} image tokens")
+    if not 1 <= keep_count <= n_img:
+        raise ValueError(f"keep_count {keep_count} is below 1 or exceeds image-token count {n_img}")
     if keep_count == n_img:
         return seq
 
-    part = partition_tokens(imp, n_img - keep_count)
-    merged_stored = img_idx[part.merged]
-    new_row = merge_tokens(seq.embeddings[merged_stored])
-
-    if part.unmerged.size:
-        insert_after = int(img_idx[part.unmerged[-1]])
-        new_pos = int(seq.positions[insert_after]) + 1
+    unmerged, merged = partition_tokens(importance, n_img - keep_count)
+    gone = img_idx[merged]
+    if unmerged.size:
+        last = img_idx[unmerged[-1]]
+        slot, position = last + 1, seq.positions[last] + 1
     else:
-        insert_after = int(img_idx[0]) - 1
-        new_pos = int(seq.positions[img_idx[0]])
-
-    keep = np.ones(len(seq), dtype=bool)
-    keep[merged_stored] = False
-    kept = np.flatnonzero(keep)
-    at = int(np.searchsorted(kept, insert_after, side="right"))
-
-    emb = np.concatenate(
-        [seq.embeddings[kept[:at]], new_row[None, :], seq.embeddings[kept[at:]]], axis=0
-    )
-    segs = np.concatenate(
-        [seq.segments[kept[:at]], np.array([Segment.MERGED_IMAGE], dtype=np.int8), seq.segments[kept[at:]]]
-    )
-    poss = np.concatenate(
-        [seq.positions[kept[:at]], np.array([new_pos], dtype=np.int64), seq.positions[kept[at:]]]
-    )
-    return TokenSequence(emb, segs, poss)
+        slot, position = img_idx[0], seq.positions[img_idx[0]]
+    rows = np.delete(np.arange(len(seq)), gone)
+    # the merged token's output index: the kept rows before stored index `slot`
+    at = slot - int(np.count_nonzero(gone < slot))
+    row = merge_tokens(seq.embeddings[gone])
+    return TokenSequence(np.insert(seq.embeddings[rows], at, row, axis=0),
+                         np.insert(seq.segments[rows], at, Segment.MERGED_IMAGE),
+                         np.insert(seq.positions[rows], at, position))

@@ -59,6 +59,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.n_heads != 0:
             raise ValueError(f"n_heads {self.n_heads} must divide dim {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ class LayerRecord:
     image_tokens: int
     cache_entries: int             # summed over heads, after this layer's compression
     importance: np.ndarray         # head-averaged score of each image token attended over
-    # merge layers only: original positions of the image tokens that survived unmerged
+    # every merge layer, no-op stages included: original positions of the image
+    # tokens that survived unmerged (a MERGED_IMAGE token is not one of them)
     kept_positions: Optional[np.ndarray] = None
     # every layer, only when prefill is asked to audit
     evictions: Optional[LayerAudit] = None
@@ -339,9 +342,8 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
         if li in keep_counts:
             merged = pyramid_merge_layer(TokenSequence(hidden, segs, poss), importance,
                                          keep_counts[li])
-            if merged.embeddings is not hidden:
-                kept = merged.positions[merged.segments == Segment.IMAGE]
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
+            kept = poss[segs == Segment.IMAGE]
             img_mask = is_image_segment(segs)
 
         metrics.layers.append(LayerRecord(hidden.shape[0], int(img_mask.sum()),

@@ -134,6 +134,23 @@ def test_out_of_range_value_exits_2_and_names_key(tmp_path, capsys, command, sec
     assert f"invalid [{section}] settings" in err and key in err
 
 
+# BASE_CONFIG's only "seed=0" line is in [model] and its only "seed=1" line in [input]
+@pytest.mark.parametrize("section,line", [("model", "seed=0\n"), ("input", "seed=1\n")],
+                         ids=["model", "input"])
+def test_negative_seed_exits_2_and_names_key(tmp_path, capsys, section, line):
+    path = tmp_path / "bad.ini"
+    text = BASE_CONFIG.format(keep_ratio="0.25", beta="0.9")
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, "seed=-1\n"))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert f"invalid [{section}] settings: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2_and_names_key(tmp_path, capsys):
+    assert cli.main(["run", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
+    assert "invalid [input] settings: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_default_config_roundtrips_through_ini(tmp_path):
     default = EngineConfig()
     lines = []
@@ -314,6 +331,31 @@ def test_analyze_k_counts_ties_as_compression_keeps(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_mod, "prefill", lambda *args, **kwargs: fake)
     curve, _ = bench_mod.do_analyze(load_config(write_config(tmp_path)))
     assert [row[2] for row in curve if row[1] == "0.9000"] == [cache.counts[0, 0]] == [10]
+
+
+def mask_rows(path):
+    return list(csv.reader(Path(path).read_text().splitlines()[2:]))
+
+
+def test_analyze_keep_ratio_one_writes_an_all_ones_row_per_merge_layer(tmp_path):
+    out = tmp_path / "curves.csv"
+    cfg = write_config(tmp_path, keep_ratio="1.0")
+    assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    rows = mask_rows(tmp_path / "curves_masks.csv")
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    assert all(row[1:] == ["1"] * 24 for row in rows)
+
+
+def test_analyze_writes_all_zero_rows_when_no_image_token_survives(tmp_path):
+    # two image tokens at keep ratio 0.35: the first stage keeps only the merged
+    # token and the other two are no-ops, so no original survives any stage
+    path = tmp_path / "two.ini"
+    path.write_text(BASE_CONFIG.format(keep_ratio="0.35", beta="0.9")
+                    .replace("n_image=24", "n_image=2"))
+    out = tmp_path / "curves.csv"
+    assert cli.main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    assert mask_rows(tmp_path / "curves_masks.csv") == [["1", "0", "0"], ["2", "0", "0"],
+                                                        ["3", "0", "0"]]
 
 
 def read_hash(path) -> str:

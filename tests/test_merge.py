@@ -63,21 +63,21 @@ def test_schedule_resolve_and_validation():
 # --- partitioning ------------------------------------------------------------
 
 def test_partition_example():
-    part = partition_tokens(np.array([0.4, 0.1, 0.3, 0.05, 0.15], np.float32), 2)
-    assert part.unmerged.tolist() == [0, 2]
-    assert part.merged.tolist() == [4, 1, 3]
+    unmerged, merged = partition_tokens(np.array([0.4, 0.1, 0.3, 0.05, 0.15], np.float32), 2)
+    assert unmerged.tolist() == [0, 2]
+    assert merged.tolist() == [4, 1, 3]
 
 
 def test_partition_r_zero_takes_single_least():
-    part = partition_tokens(np.array([0.4, 0.1, 0.3], np.float32), 0)
-    assert part.merged.tolist() == [1]
-    assert part.unmerged.tolist() == [0, 2]
+    unmerged, merged = partition_tokens(np.array([0.4, 0.1, 0.3], np.float32), 0)
+    assert merged.tolist() == [1]
+    assert unmerged.tolist() == [0, 2]
 
 
 def test_partition_all_equal_tie_break_by_position():
-    part = partition_tokens(np.ones(5, np.float32), 2)
-    assert part.unmerged.tolist() == [0, 1]
-    assert part.merged.tolist() == [2, 3, 4]
+    unmerged, merged = partition_tokens(np.ones(5, np.float32), 2)
+    assert unmerged.tolist() == [0, 1]
+    assert merged.tolist() == [2, 3, 4]
 
 
 def test_partition_rejects_r_too_large():
@@ -90,15 +90,15 @@ def test_partition_rejects_r_too_large():
 def test_partition_matches_sort_oracle(vals, data):
     imp = np.array(vals, dtype=np.float32)
     r = data.draw(st.integers(0, imp.size - 1))
-    part = partition_tokens(imp, r)
+    unmerged, merged = partition_tokens(imp, r)
     order = sorted(range(imp.size), key=lambda i: (-float(imp[i]), i))
-    assert part.unmerged.tolist() == sorted(order[: imp.size - (r + 1)])
-    assert part.merged.tolist() == order[imp.size - (r + 1):]
+    assert unmerged.tolist() == sorted(order[: imp.size - (r + 1)])
+    assert merged.tolist() == order[imp.size - (r + 1):]
     # disjoint cover and importance dominance
-    both = set(part.unmerged.tolist()) | set(part.merged.tolist())
+    both = set(unmerged.tolist()) | set(merged.tolist())
     assert both == set(range(imp.size))
-    if part.unmerged.size:
-        assert imp[part.unmerged].min() >= imp[part.merged].max()
+    if unmerged.size:
+        assert imp[unmerged].min() >= imp[merged].max()
 
 
 @settings(deadline=None)
@@ -108,10 +108,10 @@ def test_partition_scale_invariance(vals, c, data):
     # powers of two scale float32 exactly, so no new ties can appear
     imp = np.array(vals, dtype=np.float32)
     r = data.draw(st.integers(0, imp.size - 1))
-    a = partition_tokens(imp, r)
-    b = partition_tokens(imp * np.float32(c), r)
-    assert a.unmerged.tolist() == b.unmerged.tolist()
-    assert a.merged.tolist() == b.merged.tolist()
+    a_unmerged, a_merged = partition_tokens(imp, r)
+    b_unmerged, b_merged = partition_tokens(imp * np.float32(c), r)
+    assert a_unmerged.tolist() == b_unmerged.tolist()
+    assert a_merged.tolist() == b_merged.tolist()
 
 
 # --- weights and merging -----------------------------------------------------
@@ -239,3 +239,81 @@ def test_pyramid_importance_dominance():
     kept_imp = imp[[p - 2 for p in kept_positions]]
     dropped = set(range(12)) - {int(p) - 2 for p in kept_positions}
     assert kept_imp.min() >= imp[sorted(dropped)].max()
+
+
+# --- pyramid merge stage against a list-built reference ----------------------
+
+IMAGE_KINDS = (Segment.IMAGE, Segment.MERGED_IMAGE)
+
+
+def reference_merge(seq, importance, keep_count):
+    """The stage built token by token with Python lists: (embeddings, segments, positions)."""
+    emb, segs, poss = seq.embeddings, seq.segments.tolist(), seq.positions.tolist()
+    image = [i for i, s in enumerate(segs) if s in IMAGE_KINDS]
+    if keep_count == len(image):
+        return emb, segs, poss
+    ranked = sorted(range(len(image)), key=lambda j: (-float(importance[j]), j))
+    survivors = sorted(image[j] for j in ranked[:keep_count - 1])
+    gone = [image[j] for j in ranked[keep_count - 1:]]
+    merged_row = merge_tokens(emb[gone])
+    out = []
+    for i in range(len(segs)):
+        if not survivors and i == image[0]:
+            out.append((merged_row, Segment.MERGED_IMAGE, poss[i]))
+        if i not in gone:
+            out.append((emb[i], segs[i], poss[i]))
+        if survivors and i == survivors[-1]:
+            out.append((merged_row, Segment.MERGED_IMAGE, poss[i] + 1))
+    rows, out_segs, out_poss = zip(*out)
+    return np.stack(rows), list(out_segs), list(out_poss)
+
+
+def assert_matches_reference(seq, importance, keep_count):
+    out = pyramid_merge_layer(seq, importance, keep_count)
+    emb, segs, poss = reference_merge(seq, importance, keep_count)
+    assert out.embeddings.tobytes() == np.asarray(emb, np.float32).tobytes()
+    assert out.segments.tolist() == segs
+    assert out.positions.tolist() == poss
+
+
+def labelled_seq(labels, positions=None, seed=0, dim=4):
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    return TokenSequence(rng.standard_normal((n, dim)).astype(np.float32),
+                         np.array(labels, dtype=np.int8),
+                         np.arange(n) if positions is None else positions)
+
+
+S, I, T, G, M = (Segment.SYSTEM_PROMPT, Segment.IMAGE, Segment.INSTRUCTION,
+                 Segment.GENERATED, Segment.MERGED_IMAGE)
+# image tokens interleaved with text, with a merged token from an earlier stage
+INTERLEAVED = [S, I, T, I, I, M, G, I, T, I, S]
+
+
+@pytest.mark.parametrize("keep_count", range(1, 7))
+def test_pyramid_interleaved_layout_matches_reference(keep_count):
+    seq = labelled_seq(INTERLEAVED)
+    imp = np.array([0.2, 0.5, 0.1, 0.5, 0.3, 0.05], np.float32)
+    assert_matches_reference(seq, imp, keep_count)
+
+
+def test_pyramid_stage_with_no_survivors_takes_the_first_image_slot():
+    seq = labelled_seq(INTERLEAVED)
+    out = pyramid_merge_layer(seq, np.ones(6, np.float32), 1)
+    assert out.segments.tolist() == [S, M, T, G, T, S]
+    assert out.positions.tolist() == [0, 1, 2, 6, 8, 10]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(list(Segment)), min_size=1, max_size=24)
+       .filter(lambda labels: any(s in IMAGE_KINDS for s in labels)),
+       st.data())
+def test_pyramid_matches_list_reference(labels, data):
+    n_img = sum(s in IMAGE_KINDS for s in labels)
+    # non-decreasing positions with repeats, as after an earlier merge stage
+    steps = data.draw(st.lists(st.integers(0, 2), min_size=len(labels), max_size=len(labels)))
+    seq = labelled_seq(labels, np.cumsum(steps), seed=data.draw(st.integers(0, 2**16)))
+    # coarse levels force importance ties
+    imp = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_img, max_size=n_img)),
+                   np.float32) / 4
+    assert_matches_reference(seq, imp, data.draw(st.integers(1, n_img)))

@@ -322,6 +322,19 @@ def test_merge_kept_positions_are_nested(tiny_model, tiny_seq):
         assert len(positions) == layers[li].image_tokens - 1
 
 
+def test_no_op_merge_stages_record_empty_survivors(tiny_model):
+    # two image tokens at keep ratio 0.35 plan [1, 1, 1]: the first stage merges
+    # both into one MERGED_IMAGE token, the other two have nothing to do
+    seq = build_input(4, 2, 6, seed=1, dim=32)
+    assert pipeline(keep_ratio=0.35).merge_schedule.keep_counts(2) == {1: 1, 2: 1, 3: 1}
+    layers = prefill(tiny_model, seq, pipeline(keep_ratio=0.35, compression=False)).metrics.layers
+    assert [r.image_tokens for r in layers] == [2, 1, 1, 1]
+    assert layers[0].kept_positions is None
+    for li in (1, 2, 3):
+        assert layers[li].kept_positions is not None
+        assert layers[li].kept_positions.tolist() == []
+
+
 def prefill_recording_scores(monkeypatch, model, seq, pipe):
     """Audited prefill, also returning each layer's raw per-head cumulative scores."""
     scores = []

@@ -34,7 +34,7 @@ import workloads  # noqa: E402
 
 
 def test_traced_prefill_and_decode_give_finite_module_metrics(tiny_model, tiny_seq):
-    tracer = spans.Tracer(tiny_seq.n_text)
+    tracer = spans.Tracer(len(tiny_seq) - tiny_seq.n_image)
     tracer.request = 0
     with tracer.installed():
         pre = M.prefill(tiny_model, tiny_seq, pipeline())
