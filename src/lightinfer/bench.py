@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import EngineConfig, PipelineSettings
 from .kvcache import coverage_prefix
-from .merge import Segment
+from .merge import Segment, TokenSequence
 from .model import Model, PipelineConfig, RunMetrics, build_input, generate, init_model, prefill
 
 _REPETITIONS = 5
@@ -37,10 +37,9 @@ def variants(settings: PipelineSettings) -> dict[str, PipelineConfig]:
             "full": full}
 
 
-def _build_seq(cfg: EngineConfig, seed: Optional[int] = None):
-    inp = cfg.input
-    return build_input(inp.n_system, inp.n_image, inp.n_instruction, inp.redundancy,
-                       inp.seed if seed is None else seed, dim=cfg.model.dim)
+def _build_seq(cfg: EngineConfig, seed: Optional[int] = None) -> TokenSequence:
+    inp = cfg.input if seed is None else replace(cfg.input, seed=seed)
+    return build_input(**asdict(inp), dim=cfg.model.dim)
 
 
 def _write_csv(path, header: list[str], rows: Iterable[list], cfg_hash: str,
@@ -125,13 +124,11 @@ def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
 
 
 def _sweep_cell(cfg: EngineConfig, model: Model, keep_ratio: float, beta: float,
-                vanilla_ids: list[list[int]]) -> list:
+                seqs: Sequence[TokenSequence], vanilla_ids: list[list[int]]) -> list:
     pipeline = replace(cfg.pipeline, keep_ratio=keep_ratio, beta=beta).build()
     drifts, prefills, totals, decmeans, memories = [], [], [], [], []
-    for i in range(cfg.bench.seeds):
-        seq = _build_seq(cfg, seed=cfg.input.seed + i)
+    for seq, ref in zip(seqs, vanilla_ids):
         ids, m = generate(model, seq, pipeline, cfg.bench.max_new)
-        ref = vanilla_ids[i]
         drifts.append(float(np.mean([a != b for a, b in zip(ids, ref)])))
         prefills.append(m.prefill_ms)
         totals.append(m.prefill_ms + sum(m.decode_ms_per_token))
@@ -146,15 +143,15 @@ def _sweep_cell(cfg: EngineConfig, model: Model, keep_ratio: float, beta: float,
 
 
 def do_sweep(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
-    """Run the keep_ratio x beta grid, one cell after another."""
+    """Run the keep_ratio x beta grid, one cell after another, on the same
+    `seeds` inputs; prefill never writes its input."""
     bench = cfg.bench
     model = init_model(cfg.model)
-    vanilla_ids = []
-    for i in range(bench.seeds):
-        seq = _build_seq(cfg, seed=cfg.input.seed + i)
-        vanilla_ids.append(generate(model, seq, PipelineConfig(None, None), bench.max_new)[0])
+    seqs = [_build_seq(cfg, seed=cfg.input.seed + i) for i in range(bench.seeds)]
+    vanilla_ids = [generate(model, seq, PipelineConfig(None, None), bench.max_new)[0]
+                   for seq in seqs]
 
-    rows = [_sweep_cell(cfg, model, kr, b, vanilla_ids)
+    rows = [_sweep_cell(cfg, model, kr, b, seqs, vanilla_ids)
             for kr in bench.keep_ratios for b in bench.betas]
 
     header = ["keep_ratio", "beta", "seeds", "drift", "prefill_ms", "decode_ms_mean",

@@ -15,24 +15,25 @@ from .config import ConfigError, load_config
 from .verify import run_checks, select_checks
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    p.add_argument("--config", required=True, help="path to a key=value config file")
-    p.add_argument("--out", default=None, help="write results as CSV to this path")
-    p.add_argument("--seed", type=int, default=None, help="override [input] seed")
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lightinfer",
                                 description="toy multimodal decoder with staged token "
                                             "merging and KV cache compression")
     sub = p.add_subparsers(dest="command", required=True)
 
-    _add_config_flags(sub.add_parser("run", help="one generation; print the per-layer ledger"))
-    _add_config_flags(sub.add_parser("bench", help="latency/memory over output lengths and variants"))
-    _add_config_flags(sub.add_parser("sweep", help="keep_ratio x beta grid with output drift"))
-    _add_config_flags(sub.add_parser("analyze", help="attention-mass curves and retained-token masks"))
-    _add_config_flags(sub.add_parser("dump-cache", help="prefill once and dump a cache snapshot CSV"))
+    commands = {
+        "run": (bench_mod.do_run, "one generation; print the per-layer ledger"),
+        "bench": (bench_mod.do_bench, "latency/memory over output lengths and variants"),
+        "sweep": (bench_mod.do_sweep, "keep_ratio x beta grid with output drift"),
+        "analyze": (bench_mod.do_analyze, "attention-mass curves and retained-token masks"),
+        "dump-cache": (bench_mod.do_dump_cache, "prefill once and dump a cache snapshot CSV"),
+    }
+    for name, (runner, help_text) in commands.items():
+        c = sub.add_parser(name, help=help_text)
+        c.add_argument("--config", required=True, help="path to a key=value config file")
+        c.add_argument("--out", default=None, help="write results as CSV to this path")
+        c.add_argument("--seed", type=int, default=None, help="override [input] seed")
+        c.set_defaults(runner=runner)
 
     v = sub.add_parser("verify", help="run the oracle-backed correctness checks")
     v.add_argument("--full", action="store_true", help="include the slow timing checks")
@@ -67,16 +68,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        if args.command == "run":
-            bench_mod.do_run(cfg, out=args.out)
-        elif args.command == "bench":
-            bench_mod.do_bench(cfg, out=args.out)
-        elif args.command == "sweep":
-            bench_mod.do_sweep(cfg, out=args.out)
-        elif args.command == "analyze":
-            bench_mod.do_analyze(cfg, out=args.out)
-        elif args.command == "dump-cache":
-            bench_mod.do_dump_cache(cfg, out=args.out)
+        args.runner(cfg, out=args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

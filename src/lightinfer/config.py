@@ -13,29 +13,11 @@ from typing import Optional, get_args, get_origin, get_type_hints
 
 from .kvcache import CompressionConfig
 from .merge import MergeSchedule
-from .model import ModelConfig, PipelineConfig
+from .model import InputConfig, ModelConfig, PipelineConfig
 
 
 class ConfigError(Exception):
     """Malformed config; the message names the offending key."""
-
-
-@dataclass(frozen=True)
-class InputConfig:
-    n_system: int = 30
-    n_image: int = 1476
-    n_instruction: int = 50
-    redundancy: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("n_system", "n_image", "n_instruction", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.n_system + self.n_image + self.n_instruction < 1:
-            raise ValueError("n_system + n_image + n_instruction must be >= 1")
-        if not (0.0 <= self.redundancy <= 1.0):
-            raise ValueError(f"redundancy must be in [0, 1], got {self.redundancy}")
 
 
 @dataclass(frozen=True)

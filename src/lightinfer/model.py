@@ -64,6 +64,25 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
+class InputConfig:
+    """The arguments of `build_input`, less the model's dim."""
+    n_system: int = 30
+    n_image: int = 1476
+    n_instruction: int = 50
+    redundancy: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_system", "n_image", "n_instruction", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_system + self.n_image + self.n_instruction < 1:
+            raise ValueError("n_system + n_image + n_instruction must be >= 1")
+        if not (0.0 <= self.redundancy <= 1.0):
+            raise ValueError(f"redundancy must be in [0, 1], got {self.redundancy}")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     """The two mechanisms prefill applies: the staged image-token merge and
     KV cache compression. `None` switches a mechanism off, so
@@ -169,15 +188,9 @@ def build_input(n_system: int, n_image: int, n_instruction: int,
 
     A `redundancy` fraction of the image tokens are near-duplicates
     (prototype + sigma=0.01 noise) of a small set of distinct prototypes;
-    the rest are independent draws.
+    the rest are independent draws. `InputConfig` checks the arguments.
     """
-    if min(n_system, n_image, n_instruction) < 0:
-        raise ValueError("token counts must be >= 0")
-    if n_system + n_image + n_instruction < 1:
-        raise ValueError("input must contain at least one token")
-    if not (0.0 <= redundancy <= 1.0):
-        raise ValueError(f"redundancy must be in [0, 1], got {redundancy}")
-
+    InputConfig(n_system, n_image, n_instruction, redundancy, seed)
     rng = np.random.default_rng(seed)
     blocks = []
     segments = []

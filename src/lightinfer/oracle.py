@@ -1,8 +1,8 @@
 """Brute-force reference implementations.
 
-Slow and obvious on purpose: these are the independent checks the fast
-paths are tested against, and the `verify` CLI subcommand runs them on
-demand. Nothing here shares code with the optimized paths.
+Slow and obvious on purpose: the independent checks the fast paths are
+tested against, run on demand by `lightinfer verify`. Shared with the engine:
+the types, `is_image_segment`, `MergeSchedule.keep_counts` and `merge_tokens`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attention import AttentionWeights
-from .merge import Segment, TokenSequence, is_image_segment, pyramid_merge_layer
+from .merge import Segment, TokenSequence, is_image_segment, merge_tokens
 from .model import LayerWeights, Model, PipelineConfig
 
 
@@ -41,6 +41,31 @@ def naive_weighted_merge(rows: np.ndarray, weights: Sequence[float]) -> np.ndarr
         for c in range(rows.shape[1]):
             out[c] = np.float32(out[c] + w * rows[i, c])
     return out
+
+
+def literal_merge_stage(seq: TokenSequence, importance: np.ndarray, keep_count: int) -> TokenSequence:
+    """Oracle for `pyramid_merge_layer`, built token by token with Python lists:
+    the keep_count - 1 top-importance image tokens in stored order, then the rest
+    collapsed by `merge_tokens` into one MERGED_IMAGE token at one past the last
+    survivor's position, or in the first image token's slot if none survive."""
+    emb, segs, poss = seq.embeddings, seq.segments.tolist(), seq.positions.tolist()
+    image = [i for i, s in enumerate(segs) if is_image_segment(s)]
+    if keep_count == len(image):
+        return seq
+    ranked = sorted(range(len(image)), key=lambda j: (-float(importance[j]), j))
+    survivors = sorted(image[j] for j in ranked[:keep_count - 1])
+    gone = [image[j] for j in ranked[keep_count - 1:]]
+    merged_row = merge_tokens(emb[gone])
+    out = []
+    for i in range(len(segs)):
+        if not survivors and i == image[0]:
+            out.append((merged_row, Segment.MERGED_IMAGE, poss[i]))
+        if i not in gone:
+            out.append((emb[i], segs[i], poss[i]))
+        if survivors and i == survivors[-1]:
+            out.append((merged_row, Segment.MERGED_IMAGE, poss[i] + 1))
+    rows, out_segs, out_poss = zip(*out)
+    return TokenSequence(np.stack(rows), out_segs, out_poss)
 
 
 def minimal_coverage_prefix(norm: np.ndarray, beta: float) -> set[int]:
@@ -124,7 +149,7 @@ def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
         if li in keep_counts:
             col_sums = scores[:, prefill_rows, :].sum(axis=1)
             importance = col_sums.mean(axis=0)[is_image_segment(segs)]
-            merged = pyramid_merge_layer(TokenSequence(hidden, segs, poss), importance,
+            merged = literal_merge_stage(TokenSequence(hidden, segs, poss), importance,
                                          keep_counts[li])
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
     return (_layer_norm(hidden) @ model.w_out)[-1]

@@ -13,6 +13,7 @@ from lightinfer.merge import (
     plan_keep_counts,
     pyramid_merge_layer,
 )
+from lightinfer.oracle import literal_merge_stage
 
 
 # --- keep-count planning -----------------------------------------------------
@@ -241,39 +242,17 @@ def test_pyramid_importance_dominance():
     assert kept_imp.min() >= imp[sorted(dropped)].max()
 
 
-# --- pyramid merge stage against a list-built reference ----------------------
+# --- pyramid merge stage against the list-built oracle stage ------------------
 
 IMAGE_KINDS = (Segment.IMAGE, Segment.MERGED_IMAGE)
 
 
-def reference_merge(seq, importance, keep_count):
-    """The stage built token by token with Python lists: (embeddings, segments, positions)."""
-    emb, segs, poss = seq.embeddings, seq.segments.tolist(), seq.positions.tolist()
-    image = [i for i, s in enumerate(segs) if s in IMAGE_KINDS]
-    if keep_count == len(image):
-        return emb, segs, poss
-    ranked = sorted(range(len(image)), key=lambda j: (-float(importance[j]), j))
-    survivors = sorted(image[j] for j in ranked[:keep_count - 1])
-    gone = [image[j] for j in ranked[keep_count - 1:]]
-    merged_row = merge_tokens(emb[gone])
-    out = []
-    for i in range(len(segs)):
-        if not survivors and i == image[0]:
-            out.append((merged_row, Segment.MERGED_IMAGE, poss[i]))
-        if i not in gone:
-            out.append((emb[i], segs[i], poss[i]))
-        if survivors and i == survivors[-1]:
-            out.append((merged_row, Segment.MERGED_IMAGE, poss[i] + 1))
-    rows, out_segs, out_poss = zip(*out)
-    return np.stack(rows), list(out_segs), list(out_poss)
-
-
 def assert_matches_reference(seq, importance, keep_count):
     out = pyramid_merge_layer(seq, importance, keep_count)
-    emb, segs, poss = reference_merge(seq, importance, keep_count)
-    assert out.embeddings.tobytes() == np.asarray(emb, np.float32).tobytes()
-    assert out.segments.tolist() == segs
-    assert out.positions.tolist() == poss
+    ref = literal_merge_stage(seq, importance, keep_count)
+    assert out.embeddings.tobytes() == ref.embeddings.tobytes()
+    assert out.segments.tolist() == ref.segments.tolist()
+    assert out.positions.tolist() == ref.positions.tolist()
 
 
 def labelled_seq(labels, positions=None, seed=0, dim=4):

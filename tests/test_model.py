@@ -86,6 +86,16 @@ def test_build_input_rejects_empty():
         build_input(0, 0, 0)
 
 
+# build_input checks its arguments as an InputConfig, so the error names the argument
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((-1, 4, 4), {}, "n_system must be >= 0, got -1"),
+    ((1, 1, 1), {"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["n_system", "seed"])
+def test_build_input_error_names_the_argument(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_input(*args, **kwargs)
+
+
 def test_identity_pipeline_bitwise_logits(tiny_model, tiny_seq):
     identity = pipeline(keep_ratio=1.0, beta=1.0)
     disabled = pipeline(merging=False, compression=False)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from lightinfer import (
     merge_tokens,
     prefill,
 )
+from lightinfer import merge, verify
 from lightinfer.kvcache import coverage_prefix
+from lightinfer.merge import TokenSequence, is_image_segment
 from lightinfer.oracle import full_recompute_decode, naive_weighted_merge
 
 from conftest import pipeline
@@ -58,6 +62,33 @@ def test_recompute_matches_cached_decode(merging):
     cached = pipeline((1, 2), keep_ratio=0.5, beta=1.0, merging=merging, compression=True)
     uncached = pipeline((1, 2), keep_ratio=0.5, merging=merging, compression=False)
     assert generate(model, seq, cached, 6)[0] == full_recompute_decode(model, seq, uncached, 6)
+
+
+REAL_MERGE_STAGE = merge.pyramid_merge_layer
+
+
+def merged_token_first(seq, importance, keep_count):
+    """The real merge stage, but a stage that merges puts its MERGED_IMAGE token,
+    the last image token it leaves, in front of the first one."""
+    out = REAL_MERGE_STAGE(seq, importance, keep_count)
+    if out is seq:
+        return out
+    image = np.flatnonzero(is_image_segment(out.segments))
+    order = np.insert(np.delete(np.arange(len(out)), image[-1]), image[0], image[-1])
+    return TokenSequence(out.embeddings[order], out.segments[order], out.positions[order])
+
+
+def test_decode_checks_catch_a_misplaced_merged_token(monkeypatch):
+    # every lightinfer module bound to the real stage gets the faulty one, so an
+    # oracle that replays merges with the engine's own stage would agree with it
+    patched = [name for name, mod in sorted(sys.modules.items())
+               if name.startswith("lightinfer")
+               and getattr(mod, "pyramid_merge_layer", None) is REAL_MERGE_STAGE]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "pyramid_merge_layer", merged_token_first)
+    assert "lightinfer.model" in patched
+    assert not verify.check_cache_decode_equivalence()[0]
+    assert not verify.check_compressed_decode_equivalence()[0]
 
 
 def test_recompute_rejects_compression():
