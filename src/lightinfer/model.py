@@ -183,12 +183,14 @@ def init_model(config: ModelConfig) -> Model:
 
 
 def build_input(n_system: int, n_image: int, n_instruction: int,
-                redundancy: float = 0.0, seed: int = 0, dim: int = 256) -> TokenSequence:
+                redundancy: float = InputConfig.redundancy, seed: int = InputConfig.seed,
+                dim: int = 256) -> TokenSequence:
     """Synthesize a [system | image | instruction] token sequence.
 
     A `redundancy` fraction of the image tokens are near-duplicates
     (prototype + sigma=0.01 noise) of a small set of distinct prototypes;
-    the rest are independent draws. `InputConfig` checks the arguments.
+    the rest are independent draws. `InputConfig` holds the defaults and
+    checks the arguments.
     """
     InputConfig(n_system, n_image, n_instruction, redundancy, seed)
     rng = np.random.default_rng(seed)
@@ -296,7 +298,7 @@ def prefill(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
     """Run every layer over the input, merging and compressing as configured.
 
     `audit` stores each layer's `LayerAudit` in its `LayerRecord.evictions`,
-    for `bench.dump_snapshot` and the decode oracle; an uncompressed layer's has
+    for `bench.dump_snapshot` and the decode check; an uncompressed layer's has
     `retained` and `scores` None.
 
     Only the last row's next-token logits are computed, with the product

@@ -2,7 +2,8 @@
 
 Slow and obvious on purpose: the independent checks the fast paths are
 tested against, run on demand by `lightinfer verify`. Shared with the engine:
-the types, `is_image_segment`, `MergeSchedule.keep_counts` and `merge_tokens`.
+the types, `is_image_segment`, `MergeSchedule.keep_counts` and `merge_tokens`,
+and `CompressionConfig`'s fields, but not `retention` or `coverage_prefix`.
 """
 
 from __future__ import annotations
@@ -122,68 +123,60 @@ def full_attention(hidden: np.ndarray, weights: AttentionWeights,
     return context, scores.sum(axis=1), scores
 
 
-def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
-                      retained: Optional[Sequence[Optional[np.ndarray]]] = None) -> np.ndarray:
-    """Full forward over the whole sequence, merge decisions replayed.
+def _forward_no_cache(model: Model, seq: TokenSequence, pipeline: PipelineConfig
+                      ) -> tuple[np.ndarray, list[Optional[np.ndarray]]]:
+    """Full forward over the whole sequence, merges and evictions decided anew.
 
-    Merge importance is restricted to non-generated query rows, so a
-    longer sequence reproduces exactly the decisions the engine made at
-    prefill time (causal rows are unaffected by appended tokens).
-    `retained[layer]` (H, P), where given, hides each head's evicted
-    prefill keys from the generated rows.
+    Each layer first attends over its P prefill rows (those not GENERATED)
+    alone: the attention is causal, so their column sums are the engine's
+    prefill scores. They give the merge importance and, on a layer compressed
+    at beta < 1, the (H, P) mask of what each head keeps: every text entry and
+    the `minimal_coverage_prefix` of its image scores, normalized in float64
+    (uniform if their mass is 0). Generated rows attend to kept keys only.
+
+    Returns the last row's logits and the masks, None where a layer keeps all.
     """
-    schedule = pipeline.merge_schedule
+    schedule, compression = pipeline.merge_schedule, pipeline.compression
     keep_counts = schedule.keep_counts(seq.n_image) if schedule is not None else {}
 
     hidden, segs, poss = seq.embeddings, seq.segments, seq.positions
+    masks: list[Optional[np.ndarray]] = []
     for li, lw in enumerate(model.layers):
         x = _layer_norm(hidden)
-        prefill_rows = segs != Segment.GENERATED
-        keep = None if retained is None else retained[li]
-        if keep is not None and keep.shape != (lw.attn.n_heads, int(prefill_rows.sum())):
-            raise ValueError(f"layer {li}: retained mask of shape {keep.shape} for "
-                             f"{int(prefill_rows.sum())} prefill rows")
-        context, _, scores = full_attention(x, lw.attn, None if keep is None else ~keep)
-        hidden = hidden + context
+        p = int((segs != Segment.GENERATED).sum())
+        col_sums = full_attention(x[:p], lw.attn)[1]
+        img = np.flatnonzero(is_image_segment(segs[:p]))
+        keep = None
+        # at beta 1.0 the engine keeps all; a float64 sum can reach 1.0 early
+        if compression is not None and li >= compression.start_layer and compression.beta < 1.0:
+            keep = np.tile(~is_image_segment(segs[:p]), (lw.attn.n_heads, 1))
+            for h, image in enumerate(col_sums[:, img].astype(np.float64)):
+                norm = image / image.sum() if image.sum() > 0 else np.ones(img.size) / img.size
+                keep[h, img[list(minimal_coverage_prefix(norm, compression.beta))]] = True
+        masks.append(keep)
+        hidden = hidden + full_attention(x, lw.attn, None if keep is None else ~keep)[0]
         hidden = hidden + _mlp(_layer_norm(hidden), lw)
         if li in keep_counts:
-            col_sums = scores[:, prefill_rows, :].sum(axis=1)
-            importance = col_sums.mean(axis=0)[is_image_segment(segs)]
-            merged = literal_merge_stage(TokenSequence(hidden, segs, poss), importance,
-                                         keep_counts[li])
+            merged = literal_merge_stage(TokenSequence(hidden, segs, poss),
+                                         col_sums.mean(axis=0)[img], keep_counts[li])
             hidden, segs, poss = merged.embeddings, merged.segments, merged.positions
-    return (_layer_norm(hidden) @ model.w_out)[-1]
+    return (_layer_norm(hidden) @ model.w_out)[-1], masks
 
 
 def full_recompute_decode(model: Model, seq: TokenSequence, pipeline: PipelineConfig,
-                          n_steps: int,
-                          retained: Optional[Sequence[Optional[np.ndarray]]] = None) -> list[int]:
-    """Greedy decode with no KV cache: rerun the whole stack each step.
-
-    Compressed decode is replayed from `retained`: per layer, the (H, P)
-    mask of the prefill entries each head kept, or None for a layer that
-    kept all of them (`[r.evictions.retained for r in prefill(..., audit=True).metrics.layers]`).
-    """
-    if retained is None and pipeline.compression is not None:
-        raise ValueError("full_recompute_decode requires compression=None or retained masks")
-    if retained is not None and len(retained) != len(model.layers):
-        raise ValueError(f"{len(retained)} retained masks for {len(model.layers)} layers")
+                          n_steps: int) -> tuple[list[int], list[Optional[np.ndarray]]]:
+    """Greedy decode with no KV cache, rerunning the whole stack each step: the
+    ids, and the retained masks `_forward_no_cache` decided over the input."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
-    ids: list[int] = []
-    cur = seq
-    logits = _forward_no_cache(model, cur, pipeline, retained)
-    for step in range(n_steps):
-        tok = int(np.argmax(logits))
-        ids.append(tok)
-        if step == n_steps - 1:
-            break
-        cur = TokenSequence(
-            np.concatenate([cur.embeddings, model.embed[tok][None, :]], axis=0),
-            np.concatenate([cur.segments, np.array([Segment.GENERATED], dtype=np.int8)]),
-            np.concatenate([cur.positions, np.array([int(cur.positions.max()) + 1], dtype=np.int64)]),
+    logits, masks = _forward_no_cache(model, seq, pipeline)
+    ids = [int(np.argmax(logits))]
+    while len(ids) < n_steps:
+        seq = TokenSequence(
+            np.concatenate([seq.embeddings, model.embed[ids[-1]][None, :]], axis=0),
+            np.concatenate([seq.segments, np.array([Segment.GENERATED], dtype=np.int8)]),
+            np.concatenate([seq.positions, np.array([int(seq.positions.max()) + 1], dtype=np.int64)]),
         )
-        logits = _forward_no_cache(model, cur, pipeline, retained)
-    return ids
-
+        ids.append(int(np.argmax(_forward_no_cache(model, seq, pipeline)[0])))
+    return ids, masks

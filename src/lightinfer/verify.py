@@ -113,20 +113,21 @@ def check_cache_decode_equivalence() -> tuple[bool, str]:
         seq = build_input(6, 48, 10, redundancy=0.5, seed=2000 + seed, dim=64)
         for merging in (False, True):
             schedule = MergeSchedule((1, 2, 3), 0.4) if merging else None
-            cached = PipelineConfig(schedule, CompressionConfig(1.0, 1))
-            uncached = PipelineConfig(schedule, None)
-            ids_fast, _ = generate(model, seq, cached, 8)
-            ids_ref = full_recompute_decode(model, seq, uncached, 8)
+            pipe = PipelineConfig(schedule, CompressionConfig(1.0, 1))
+            ids_fast, _ = generate(model, seq, pipe, 8)
+            ids_ref, _ = full_recompute_decode(model, seq, pipe, 8)
             if ids_fast != ids_ref:
                 return False, f"seed {seed} merging={merging}: cached {ids_fast} != recompute {ids_ref}"
     return True, "10 seeds x 8 steps, merging on and off, ids exactly equal"
 
 
 def check_compressed_decode_equivalence() -> tuple[bool, str]:
-    """Cached greedy decode from a compressed cache equals the no-cache oracle
-    replaying the same evictions, with and without merging."""
+    """Cached greedy decode from a compressed cache equals the no-cache oracle,
+    which decides its own evictions, with and without merging: first every
+    layer's retained masks, then the ids."""
     betas = (0.08, 0.5, 0.9)
     least = 1.0
+    heads = 0
     for seed in range(10):
         model = _small_model(seed, 5)
         seq = build_input(6, 48, 10, redundancy=0.5, seed=2000 + seed, dim=64)
@@ -134,20 +135,24 @@ def check_compressed_decode_equivalence() -> tuple[bool, str]:
             for merging in (False, True):
                 schedule = MergeSchedule((1, 2, 3), 0.4) if merging else None
                 pipe = PipelineConfig(schedule, CompressionConfig(beta, 1))
-                retained = [r.evictions.retained
-                            for r in prefill(model, seq, pipe, audit=True).metrics.layers]
+                ids_ref, retained = full_recompute_decode(model, seq, pipe, 8)
+                layers = prefill(model, seq, pipe, audit=True).metrics.layers
+                case = f"seed {seed} beta={beta} merging={merging}"
+                # array_equal is True for None and None, False for None and a mask
+                if not all(np.array_equal(r.evictions.retained, m) for r, m in zip(layers, retained)):
+                    return False, f"{case}: the engine's retained masks differ from the oracle's"
                 masks = [m for m in retained if m is not None]
                 evicted = sum(int((~m).sum()) for m in masks) / sum(m.size for m in masks)
-                case = f"seed {seed} beta={beta} merging={merging}"
                 if evicted == 0:
                     return False, f"{case}: no entry evicted"
                 least = min(least, evicted)
+                heads += sum(m.shape[0] for m in masks)
                 ids_fast, _ = generate(model, seq, pipe, 8)
-                ids_ref = full_recompute_decode(model, seq, pipe, 8, retained)
                 if ids_fast != ids_ref:
                     return False, f"{case}: cached {ids_fast} != recompute {ids_ref}"
     return True, (f"10 seeds x betas {betas} x 8 steps, merging on and off, ids exactly equal; "
-                  f"at least {least:.1%} of compressed entries evicted in every case")
+                  f"at least {least:.1%} of compressed entries evicted in every case; "
+                  f"retained masks of all {heads} compressed heads equal the oracle's")
 
 
 def check_coverage_minimality() -> tuple[bool, str]:

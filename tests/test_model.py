@@ -316,7 +316,7 @@ def test_layer_norm_equals_identity_affine_form():
 
 def test_prefill_logits_match_full_attention_oracle(tiny_model, tiny_seq):
     p = pipeline(merging=False, compression=False)
-    ref = _forward_no_cache(tiny_model, tiny_seq, p)
+    ref, _ = _forward_no_cache(tiny_model, tiny_seq, p)
     assert np.abs(prefill(tiny_model, tiny_seq, p).logits - ref).max() < 1e-4
 
 

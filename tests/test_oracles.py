@@ -14,7 +14,7 @@ from lightinfer import (
     prefill,
 )
 from lightinfer import merge, verify
-from lightinfer.kvcache import coverage_prefix
+from lightinfer.kvcache import coverage_prefix, retention
 from lightinfer.merge import TokenSequence, is_image_segment
 from lightinfer.oracle import full_recompute_decode, naive_weighted_merge
 
@@ -51,17 +51,17 @@ def test_recompute_single_step_equals_prefill_argmax():
     model = init_model(ModelConfig(n_layers=3, n_heads=2, dim=16, vocab=32, seed=0))
     seq = build_input(2, 10, 3, redundancy=0.3, seed=1, dim=16)
     p = pipeline((1, 2), keep_ratio=0.5, merging=True, compression=False)
-    ids = full_recompute_decode(model, seq, p, 1)
+    ids, _ = full_recompute_decode(model, seq, p, 1)
     assert ids == [int(np.argmax(prefill(model, seq, p).logits))]
 
 
-@pytest.mark.parametrize("merging", [False, True])
-def test_recompute_matches_cached_decode(merging):
+@pytest.mark.parametrize("merging,beta", [(False, 1.0), (True, 1.0), (True, 0.5)],
+                         ids=["False", "True", "compressed"])
+def test_recompute_matches_cached_decode(merging, beta):
     model = init_model(ModelConfig(n_layers=3, n_heads=2, dim=16, vocab=32, seed=5))
     seq = build_input(2, 12, 3, redundancy=0.4, seed=6, dim=16)
-    cached = pipeline((1, 2), keep_ratio=0.5, beta=1.0, merging=merging, compression=True)
-    uncached = pipeline((1, 2), keep_ratio=0.5, merging=merging, compression=False)
-    assert generate(model, seq, cached, 6)[0] == full_recompute_decode(model, seq, uncached, 6)
+    p = pipeline((1, 2), keep_ratio=0.5, beta=beta, merging=merging, compression=True)
+    assert generate(model, seq, p, 6)[0] == full_recompute_decode(model, seq, p, 6)[0]
 
 
 REAL_MERGE_STAGE = merge.pyramid_merge_layer
@@ -91,11 +91,15 @@ def test_decode_checks_catch_a_misplaced_merged_token(monkeypatch):
     assert not verify.check_compressed_decode_equivalence()[0]
 
 
-def test_recompute_rejects_compression():
-    model = init_model(ModelConfig(n_layers=2, n_heads=2, dim=16, vocab=32, seed=0))
-    seq = build_input(1, 4, 1, seed=0, dim=16)
-    with pytest.raises(ValueError, match="compression"):
-        full_recompute_decode(model, seq, pipeline((1,), compression=True), 2)
+def test_compressed_decode_check_catches_heads_keeping_each_others_entries(monkeypatch):
+    # each head keeps the entries its neighbour's scores pick; the oracle decides
+    # its own evictions and imports neither `retention` nor `coverage_prefix`,
+    # so it does not see the fault
+    def rolled(raw_scores, segments, config):
+        return retention(np.roll(raw_scores, 1, axis=0), segments, config)
+
+    monkeypatch.setattr("lightinfer.model.retention", rolled)
+    assert not verify.check_compressed_decode_equivalence()[0]
 
 
 def mass_curve(scores, thresholds):
