@@ -2,9 +2,14 @@
 
 All timings come from the monotonic clock inside generate(), whose decode
 steps make ids 2 to max_new (a one-id run has none: its decode mean is nan).
-Bench rows are medians over 5 repetitions after one discarded warm-up run,
-for each of the four variants. CSVs carry a config-hash comment line over
-the settings the command reads, so runs of identical settings are comparable.
+`timed_runs` is the one timing loop of `bench` and of verify's long-decode
+check: one discarded 8-id warm-up per pipeline, then repetitions that run
+every length and, at each length, every pipeline in turn, so a slow phase
+of the host hits all pipelines alike. Bench rows read its runs, 5 per cell
+for each of the four variants, through `prefill_median` (pooled over
+lengths) and `total_ms`, and print once all runs finish. CSVs carry a
+config-hash comment line over the settings the command reads, so runs of
+identical settings are comparable.
 """
 
 from __future__ import annotations
@@ -90,33 +95,58 @@ def do_run(cfg: EngineConfig, out: Optional[str] = None) -> RunMetrics:
     return m
 
 
+def timed_runs(model: Model, seq: TokenSequence, pipelines: dict[str, PipelineConfig],
+               reps: dict[int, int]) -> dict[tuple[str, int], list[RunMetrics]]:
+    """Each `(label, length)`'s runs: `reps[length]` repetitions of every pipeline.
+
+    Repetition r runs each length with more than r repetitions, in `reps`
+    order, and at each length every pipeline in turn, after one discarded
+    8-id warm-up per pipeline.
+    """
+    for pipeline in pipelines.values():
+        generate(model, seq, pipeline, 8)  # warm-up, discarded
+    runs = {(label, n): [] for label in pipelines for n in reps}
+    for rep in range(max(reps.values())):
+        for n in (n for n in reps if rep < reps[n]):
+            for label, pipeline in pipelines.items():
+                runs[(label, n)].append(generate(model, seq, pipeline, n)[1])
+    return runs
+
+
+def prefill_median(runs: dict[tuple[str, int], list[RunMetrics]], label: str) -> float:
+    """A pipeline's median prefill time over all its runs: prefill does not
+    depend on the output length."""
+    return statistics.median(m.prefill_ms for (lab, _), ms in runs.items() if lab == label
+                             for m in ms)
+
+
+def total_ms(runs: dict[tuple[str, int], list[RunMetrics]], label: str, length: int) -> float:
+    """The pooled prefill median plus the median sum of the `length - 1` decode steps."""
+    return prefill_median(runs, label) + statistics.median(
+        sum(m.decode_ms_per_token) for m in runs[(label, length)])
+
+
 def do_bench(cfg: EngineConfig, out: Optional[str] = None) -> list[list]:
-    model = init_model(cfg.model)
-    seq = _build_seq(cfg)
+    pipelines = variants(cfg.pipeline)
+    runs = timed_runs(init_model(cfg.model), _build_seq(cfg), pipelines,
+                      {n: _REPETITIONS for n in cfg.bench.lengths})
     header = ["label", "length", "keep_ratio", "beta", "prefill_ms", "decode_ms_mean",
               "total_ms", "memory_bytes", "allocated_bytes", "speedup", "reps"]
     rows = []
-    vanilla_total: dict[int, float] = {}
-
-    for variant, pipeline in variants(cfg.pipeline).items():
+    for variant, pipeline in pipelines.items():
         keep = pipeline.merge_schedule.target_ratio if pipeline.merge_schedule else 1.0
         beta = pipeline.compression.beta if pipeline.compression else 1.0
         for length in cfg.bench.lengths:
-            generate(model, seq, pipeline, length)  # warm-up, discarded
-            runs = [generate(model, seq, pipeline, length)[1] for _ in range(_REPETITIONS)]
-            prefill_ms = statistics.median(r.prefill_ms for r in runs)
-            totals = [r.prefill_ms + sum(r.decode_ms_per_token) for r in runs]
-            total_ms = statistics.median(totals)
+            cell = runs[(variant, length)]
             decode_mean = statistics.median(
-                _decode_stat(statistics.mean, r.decode_ms_per_token) for r in runs
-            )
-            if variant == "vanilla":
-                vanilla_total[length] = total_ms
-            speedup = vanilla_total[length] / total_ms
-            rows.append([variant, length, _fmt(keep), _fmt(beta), _fmt(prefill_ms),
-                         _fmt(decode_mean), _fmt(total_ms), runs[0].memory_bytes,
-                         runs[0].allocated_bytes, f"{speedup:.2f}", _REPETITIONS])
-            print(" ".join(str(x) for x in rows[-1]))
+                _decode_stat(statistics.mean, r.decode_ms_per_token) for r in cell)
+            total = total_ms(runs, variant, length)
+            rows.append([variant, length, _fmt(keep), _fmt(beta),
+                         _fmt(prefill_median(runs, variant)), _fmt(decode_mean), _fmt(total),
+                         cell[0].memory_bytes, cell[0].allocated_bytes,
+                         f"{total_ms(runs, 'vanilla', length) / total:.2f}", _REPETITIONS])
+    for row in rows:
+        print(" ".join(str(x) for x in row))
 
     if out:
         _write_csv(out, header, rows, cfg.hash(("lengths",)), comment=f"repetitions={_REPETITIONS}")

@@ -23,7 +23,7 @@ largest head. Every buffer is allocated in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,12 +45,6 @@ class CompressionConfig:
             raise ValueError(f"start_layer must be >= 0, got {self.start_layer}")
 
 
-class HeadView(NamedTuple):
-    """One head's n live entries, as views into its layer's buffers."""
-    keys: np.ndarray        # (n, hd), and values too
-    values: np.ndarray
-
-
 class KVCache:
     """Key/value entries, laid out as the module says.
 
@@ -68,11 +62,6 @@ class KVCache:
         self.values = [np.zeros((n_heads, 0, head_dim), np.float32) for _ in range(n_layers)]
         self.counts = np.zeros((n_layers, n_heads), dtype=np.int64)
         self._heads = np.arange(n_heads)
-
-    def head(self, layer: int, h: int) -> HeadView:
-        """Head h's live entries in a layer."""
-        n = self.counts[layer, h]
-        return HeadView(self.keys[layer][h, :n], self.values[layer][h, :n])
 
     def _grow(self, layer: int) -> None:
         """Make room for one more row in every head of a layer."""

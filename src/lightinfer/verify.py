@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .attention import _BLOCK, AttentionWeights, multi_head_attention
+from .bench import timed_runs, total_ms
 from .kvcache import CompressionConfig, KVCache, memory_estimate, retention
 from .merge import (
     MergeSchedule,
@@ -172,7 +173,7 @@ def check_coverage_minimality() -> tuple[bool, str]:
             retained, _ = retention([np.append(norm, [0.0, 0.0])], segments, CompressionConfig(beta, 0))
             cache = KVCache(1, 1, 4)
             cache.extend_layer(0, keys, keys, retained)
-            kept = cache.head(0, 0).keys[:, 0].astype(int).tolist()
+            kept = cache.keys[0][0, :cache.counts[0, 0], 0].astype(int).tolist()
             got = {i for i in kept if i < n}
             expect = set(range(n)) if beta >= 1.0 else minimal_coverage_prefix(norm, beta)
             if got != expect:
@@ -267,14 +268,10 @@ def check_long_decode_speedup() -> tuple[bool, str]:
     most 10% of image cache entries (the toy model's attention is far
     flatter than a trained VLM's, so the threshold value itself is
     lower), and merging kept mild so the cache mechanism carries the
-    long-sequence effect. Vanilla and full runs are interleaved within
-    each repetition so slow phases of the host hit both sides alike. The
-    short totals swing most with the host: 5 repetitions at 256, 3 at 2048.
-
-    Each total is the median prefill time plus the median decode sum at
-    that length, over the length - 1 steps that give ids 2 to length.
-    Prefill does not depend on the output length, so each pipeline's
-    prefill times are pooled over both lengths and all reps.
+    long-sequence effect. Runs and totals come from `bench.timed_runs`
+    and `bench.total_ms`. The short totals swing most with the host, as
+    prefill is a large share of them, so 256 gets 5 repetitions and the
+    long runs, which dominate the check's time, 3.
     """
     model = init_model(ModelConfig(n_layers=28, n_heads=4, dim=256, vocab=512, seed=9))
     seq = build_input(30, 3072, 50, redundancy=0.5, seed=9, dim=256)
@@ -291,24 +288,8 @@ def check_long_decode_speedup() -> tuple[bool, str]:
                        f"coverage threshold not in the target regime")
 
     short, long_ = 256, 2048
-    lengths = (short, long_)
-    reps = {short: 5, long_: 3}
-    pipelines = (("vanilla", vanilla), ("full", full))
-    prefills = {label: [] for label, _ in pipelines}
-    decodes = {(label, length): [] for label, _ in pipelines for length in lengths}
-    for label, pipeline in pipelines:
-        generate(model, seq, pipeline, 8)  # warm-up discarded
-    for rep in range(reps[short]):
-        for length in (n for n in lengths if rep < reps[n]):
-            for label, pipeline in pipelines:
-                _, m = generate(model, seq, pipeline, length)
-                prefills[label].append(m.prefill_ms)
-                decodes[(label, length)].append(sum(m.decode_ms_per_token))
-
-    def total(label: str, length: int) -> float:
-        return statistics.median(prefills[label]) + statistics.median(decodes[(label, length)])
-
-    speedups = {length: total("vanilla", length) / total("full", length) for length in lengths}
+    runs = timed_runs(model, seq, {"vanilla": vanilla, "full": full}, {short: 5, long_: 3})
+    speedups = {n: total_ms(runs, "vanilla", n) / total_ms(runs, "full", n) for n in (short, long_)}
     ok = speedups[long_] >= 1.3 and speedups[long_] > speedups[short]
     return ok, (f"retained image fraction {frac:.3f}; speedup {speedups[short]:.2f}x at {short} "
                 f"vs {speedups[long_]:.2f}x at {long_} (need >= 1.3x and increasing)"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from lightinfer import (
@@ -26,3 +28,9 @@ def pipeline(merge_layers=(1, 2, 3), keep_ratio=0.5, beta=1.0, start_layer=1,
         MergeSchedule(merge_layers, keep_ratio) if merging else None,
         CompressionConfig(beta, start_layer) if compression else None,
     )
+
+
+def head(cache, layer, h):
+    """Head h's live keys and values in a layer, as views into the layer's buffers."""
+    n = cache.counts[layer, h]
+    return SimpleNamespace(keys=cache.keys[layer][h, :n], values=cache.values[layer][h, :n])

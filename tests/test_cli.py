@@ -1,5 +1,6 @@
 import csv
 import re
+import statistics
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,14 @@ from lightinfer import verify as verify_mod
 from lightinfer.config import EngineConfig, load_config
 from lightinfer.kvcache import CompressionConfig, KVCache, retention
 from lightinfer.merge import Segment
-from lightinfer.model import LayerRecord, PipelineConfig, generate, init_model, prefill
+from lightinfer.model import (
+    LayerRecord,
+    PipelineConfig,
+    RunMetrics,
+    generate,
+    init_model,
+    prefill,
+)
 
 BASE_CONFIG = """
 [model]
@@ -273,6 +281,76 @@ def test_bench_memory_column_tracks_compression(tmp_path):
         assert by[("full", length)] < by[("vanilla", length)]
         assert by[("merge-only", length)] < by[("vanilla", length)]
 
+
+
+def record_generate(monkeypatch, label_of, metrics):
+    """Replace `generate`, where bench and verify call it, with a recorder.
+
+    The k-th call is recorded as `(label_of(pipeline), max_new)` and returns
+    `metrics(label, max_new, k)`. Returns the list of recorded calls.
+    """
+    calls = []
+
+    def fake(model, seq, pipeline, max_new):
+        calls.append((label_of(pipeline), max_new))
+        return [0] * max_new, metrics(*calls[-1], len(calls) - 1)
+
+    for mod in (bench_mod, verify_mod):
+        monkeypatch.setattr(mod, "generate", fake)
+    return calls
+
+
+def test_bench_timing_columns_read_the_interleaved_runs(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path))
+    names = bench_mod.variants(cfg.pipeline)
+    made = []
+
+    def metrics(label, n, k):
+        # warm-ups read far off, so a statistic that counted one would show it
+        if k < len(names):
+            return RunMetrics(1e6, [1e6] * (n - 1))
+        m = RunMetrics(float(k * 37 % 101), [float(k % 7 + i) for i in range(n - 1)])
+        made.append((label, n, m))
+        return m
+
+    calls = record_generate(monkeypatch, lambda p: next(lab for lab, q in names.items() if q == p),
+                            metrics)
+    rows = bench_mod.do_bench(cfg)
+
+    assert calls == ([(label, 8) for label in names]
+                     + [(label, n) for _ in range(5) for n in (3, 6) for label in names])
+    prefill_ms, total = {}, {}
+    for label in names:
+        prefill_ms[label] = statistics.median(m.prefill_ms for lab, _, m in made if lab == label)
+        for n in (3, 6):
+            sums = [sum(m.decode_ms_per_token) for lab, ln, m in made if (lab, ln) == (label, n)]
+            total[(label, n)] = prefill_ms[label] + statistics.median(sums)
+    assert [(row[0], row[1]) for row in rows] == [(label, n) for label in names for n in (3, 6)]
+    for label, n, _, _, pre, _, tot, _, _, speedup, _ in rows:
+        assert pre == f"{prefill_ms[label]:.4f}"
+        assert tot == f"{total[(label, n)]:.4f}"
+        assert speedup == f"{total[('vanilla', n)] / total[(label, n)]:.2f}"
+    assert len({row[9] for row in rows}) > 2  # the speedups are not all alike
+
+
+def test_long_decode_check_runs_the_interleaved_schedule(monkeypatch):
+    """The check's `generate` calls, in order: its pass rate on a noisy host
+    depends on this schedule."""
+    vanilla = PipelineConfig(None, None)
+
+    def metrics(label, n, k):
+        if label == "vanilla":
+            return RunMetrics(10.0, [1.0] * (n - 1))
+        return RunMetrics(5.0, [0.4] * (n - 1))
+
+    calls = record_generate(monkeypatch, lambda p: "vanilla" if p == vanilla else "full", metrics)
+    ok, detail = verify_mod.check_long_decode_speedup()
+    expect = [("vanilla", 8), ("full", 8)]
+    expect += [(label, n) for _ in range(3) for n in (256, 2048) for label in ("vanilla", "full")]
+    expect += [(label, 256) for _ in range(2) for label in ("vanilla", "full")]
+    assert calls == expect
+    # totals: (10 + 255) / (5 + 102) at 256, (10 + 2047) / (5 + 818.8) at 2048
+    assert ok and "speedup 2.48x at 256 vs 2.50x at 2048 (need >= 1.3x and increasing)" in detail
 
 def test_run_out_csv_contains_ledger(tmp_path):
     out = tmp_path / "run.csv"

@@ -19,6 +19,8 @@ from lightinfer.merge import Segment
 from lightinfer.model import LayerAudit
 from lightinfer.oracle import minimal_coverage_prefix
 
+from conftest import head
+
 
 def make_cache(n_layers=1, n_heads=2, head_dim=4):
     return KVCache(n_layers, n_heads, head_dim)
@@ -59,7 +61,7 @@ def compressed(n_image, n_text, raw, beta, seed=0):
 
 
 def heads(cache, layer=0):
-    return [cache.head(layer, h) for h in range(cache.n_heads)]
+    return [head(cache, layer, h) for h in range(cache.n_heads)]
 
 
 def kv(head_dim=4, n_heads=2, fill=0.0):
@@ -117,7 +119,7 @@ def test_beta_one_is_bit_identical():
 def test_compress_cumulative_threshold_example():
     cache = compressed(5, 0, [[0.5, 0.2, 0.15, 0.1, 0.05]], 0.9)
     assert cache.counts[0, 0] == 4
-    assert rows(cache.head(0, 0)) == [0, 1, 2, 3]
+    assert rows(head(cache, 0, 0)) == [0, 1, 2, 3]
 
 
 def test_per_head_independence_uniform_vs_one_hot():
@@ -129,12 +131,12 @@ def test_per_head_independence_uniform_vs_one_hot():
     counts = cache.counts[0].tolist()
     assert counts[0] == int(np.ceil(0.9 * n))
     assert counts[1] == 1
-    assert rows(cache.head(0, 1)) == [3]
+    assert rows(head(cache, 0, 1)) == [3]
 
 
 def test_retained_entries_back_in_position_order():
     cache = compressed(6, 1, [[0.05, 0.3, 0.1, 0.25, 0.2, 0.1, 0.0]], 0.7)
-    kept = rows(cache.head(0, 0))
+    kept = rows(head(cache, 0, 0))
     assert kept == sorted(kept)
     assert 6 in kept  # text entry survives
 
@@ -150,14 +152,14 @@ def test_power_of_two_scaling_keeps_retained_set():
     kept = []
     for k in (0, -40, -1, 1, 40):
         cache = compressed(8, 2, [raw * 2.0 ** k], 0.6)
-        kept.append(rows(cache.head(0, 0)))
+        kept.append(rows(head(cache, 0, 0)))
     assert len(kept[0]) < 10
     assert all(k == kept[0] for k in kept)
 
 
 def test_zero_image_mass_compresses_as_uniform():
     cache = compressed(16, 1, [np.zeros(17)], 0.5)
-    assert rows(cache.head(0, 0)) == list(range(8)) + [16]
+    assert rows(head(cache, 0, 0)) == list(range(8)) + [16]
 
 
 @settings(deadline=None, max_examples=60)
@@ -168,7 +170,7 @@ def test_compress_monotone_in_beta(n, seed):
     kept = []
     for beta in (0.3, 0.6, 0.9, 1.0):
         cache = compressed(n, 0, [raw], beta)
-        kept.append(set(rows(cache.head(0, 0))))
+        kept.append(set(rows(head(cache, 0, 0))))
     for a, b in zip(kept, kept[1:]):
         assert a <= b
 
@@ -178,7 +180,7 @@ def test_compress_monotone_in_beta(n, seed):
 def test_non_image_entries_never_evicted(n_image, n_text, beta, seed):
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, n_image + n_text)
     cache = compressed(n_image, n_text, [raw], beta, seed=seed)
-    assert rows(cache.head(0, 0))[-n_text:] == list(range(n_image, n_image + n_text))
+    assert rows(head(cache, 0, 0))[-n_text:] == list(range(n_image, n_image + n_text))
 
 
 @settings(deadline=None, max_examples=80)
@@ -195,7 +197,7 @@ def test_batched_rule_matches_minimal_prefix_per_head(n_heads, n_image, n_text, 
         expect = minimal_coverage_prefix(norm, beta)
         assert set(np.flatnonzero(retained[h, :n_image]).tolist()) == expect
         assert retained[h, n_image:].all()
-        assert rows(cache.head(0, h)) == sorted(expect) + list(range(n_image, n_image + n_text))
+        assert rows(head(cache, 0, h)) == sorted(expect) + list(range(n_image, n_image + n_text))
 
 
 def test_compress_all_respects_start_layer():
@@ -208,7 +210,7 @@ def test_compress_all_respects_start_layer():
     assert out.counts[1, 0] < 7
     assert out.counts[2, 0] < 7
     for layer in range(3):
-        hv = out.head(layer, 0)
+        hv = head(out, layer, 0)
         assert hv.keys.tobytes() == cache.keys[layer][0][rows(hv)].tobytes()
         assert hv.values.tobytes() == cache.values[layer][0][rows(hv)].tobytes()
     assert cache.counts[:, 0].tolist() == [7, 7, 7]  # the uncompressed cache is left as it was
@@ -362,7 +364,7 @@ def test_grow_adds_an_eighth_of_capacity():
     assert cache.keys[0].shape[1] == 64
     cache.append(0, kv(n_heads=1, fill=64.0), kv(n_heads=1))
     assert cache.keys[0].shape[1] == cache.values[0].shape[1] == 64 + 64 // _GROWTH_DIV
-    assert rows(cache.head(0, 0)) == list(range(65))
+    assert rows(head(cache, 0, 0)) == list(range(65))
 
 
 def test_extend_layer_fills_only_an_empty_layer():

@@ -22,7 +22,7 @@ from lightinfer.oracle import _forward_no_cache
 from lightinfer.oracle import _layer_norm as oracle_layer_norm
 from lightinfer.oracle import _mlp as oracle_mlp
 
-from conftest import pipeline
+from conftest import head, pipeline
 
 
 def checksum(model):
@@ -162,8 +162,8 @@ def test_layer_record_on_compressed_prefill(tiny_model, tiny_seq):
             continue
         assert retained.shape == rec.evictions.scores.shape == (cache.n_heads, len(pos))
         for h in range(cache.n_heads):
-            assert cache.head(li, h).keys.tobytes() == full.head(li, h).keys[retained[h]].tobytes()
-            assert cache.head(li, h).values.tobytes() == full.head(li, h).values[retained[h]].tobytes()
+            assert head(cache, li, h).keys.tobytes() == head(full, li, h).keys[retained[h]].tobytes()
+            assert head(cache, li, h).values.tobytes() == head(full, li, h).values[retained[h]].tobytes()
         evicted += int((~retained).sum())
     assert evicted > 0
 
@@ -193,17 +193,17 @@ def test_prefill_rejects_empty_and_wrong_dim(tiny_model):
 def test_decode_grows_cache_by_one_per_step(tiny_model, tiny_seq):
     pre = prefill(tiny_model, tiny_seq, pipeline(merging=False, compression=False))
     before = pre.cache.counts.copy()
-    held = [pre.cache.head(li, 0).keys.copy() for li in range(pre.cache.n_layers)]
+    held = [head(pre.cache, li, 0).keys.copy() for li in range(pre.cache.n_layers)]
     logits, cache = decode_step(tiny_model, pre.cache, 7)
     assert np.array_equal(cache.counts, before + 1)
     assert logits.shape == (64,)
     for li in range(cache.n_layers):
-        assert np.array_equal(cache.head(li, 0).keys[:-1], held[li])
+        assert np.array_equal(head(cache, li, 0).keys[:-1], held[li])
     # layer 0's input is the token's embedding: the new key is its projection
     attn = tiny_model.layers[0].attn
     k = (layer_norm(tiny_model.embed[7][None, :]) @ attn.wk).reshape(cache.n_heads, -1)
     for h in range(cache.n_heads):
-        assert np.array_equal(cache.head(0, h).keys[-1], k[h])
+        assert np.array_equal(head(cache, 0, h).keys[-1], k[h])
 
 
 def test_decode_step_requires_populated_cache(tiny_model):
@@ -365,7 +365,7 @@ def assert_same_cache(a, b):
     assert np.array_equal(a.counts, b.counts)
     for li in range(a.n_layers):
         for h in range(a.n_heads):
-            ha, hb = a.head(li, h), b.head(li, h)
+            ha, hb = head(a, li, h), head(b, li, h)
             assert ha.keys.tobytes() == hb.keys.tobytes()
             assert ha.values.tobytes() == hb.values.tobytes()
 
